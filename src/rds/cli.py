@@ -2,9 +2,9 @@
 
 Data goes to stdout (or --out); diagnostics and timings go to stderr.
 Exit codes: 0 success, 1 a verification or regression command found a
-failure, 2 usage or I/O error.  Output is plain text and deterministic
-for identical arguments and inputs (NO_COLOR is trivially honored; no
-command emits color).
+failure, 2 usage or I/O error, 130 interrupted (Ctrl-C).  Output is plain
+text and deterministic for identical arguments and inputs (NO_COLOR is
+trivially honored; no command emits color).
 """
 
 from __future__ import annotations
@@ -372,7 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma-max", type=int, required=True)
     p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered")
-    p.add_argument("--gp", choices=list(GP_FILTERS), default="annotate")
+    p.add_argument(
+        "--gp",
+        choices=list(GP_FILTERS),
+        default="annotate",
+        help="annotate: emit every set with its general_position flag; "
+        "require: emit only sets in general position",
+    )
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--checkpoint", help="checkpoint path for kill/resume")
     p.add_argument("--no-zero", action="store_true")
@@ -453,6 +459,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except KeyboardInterrupt:
+        # a search checkpoint already holds the last completed chunk
+        print("rds: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

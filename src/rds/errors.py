@@ -47,7 +47,3 @@ class ConfigMismatch(RdsError):
 
 class CheckpointCorrupt(RdsError):
     """A checkpoint file could not be parsed or fails its consistency checks."""
-
-
-class OverlappingRanges(RdsError):
-    """Partial results being merged cover overlapping rank ranges."""

@@ -121,12 +121,17 @@ def build_pool(gamma_bound: int, include_zero: bool = True) -> RatioPool:
 
 
 def is_pythagorean_ratio(q: Rat) -> bool:
-    """True iff q == 0 or, for canonical q = b/a, a^2 + b^2 is a perfect square."""
-    if q == 0:
-        return True
+    """True iff, for canonical q = b/a, a^2 + b^2 is a perfect square.
+
+    The zero ratio passes without a branch: it is stored as 0/1, and
+    0^2 + 1^2 = 1 is a square.  This test sits in the search kernels'
+    innermost loops, so it stays free of helper calls.
+    """
     a = q.denominator
     b = q.numerator
-    return is_perfect_square(a * a + b * b)
+    s = a * a + b * b
+    r = math.isqrt(s)
+    return r * r == s
 
 
 def min_hypotenuse(q: Rat) -> int:

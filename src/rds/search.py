@@ -12,8 +12,16 @@ distinctness conditions.  Every candidate has a deterministic rank:
 
 Solutions are deduplicated by their canonical key, the sorted abscissa
 list, so worker count and partition boundaries never affect the result.
-Dependent (tail) ratios are membership-tested exactly and are not bounded
-by the pool's hypotenuse cap.
+Dependent (tail) ratios come from ``solver.complete_psi``'s formula and
+are tested by ``pythagorean.is_pythagorean_ratio``, exactly and without
+the pool's hypotenuse cap.
+
+The runner splits the remaining ranks into contiguous chunks and reads
+their results in rank order through one loop, whether the chunks run in
+this process or on a process pool.  Each chunk's keys are folded into the
+found map and, with a checkpoint path, committed before the next chunk is
+read; stopping early, by request or by an interrupt, leaves the checkpoint
+at the last committed chunk.
 """
 
 from __future__ import annotations
@@ -22,18 +30,21 @@ import json
 import math
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
-from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, OverlappingRanges
-from .pythagorean import RatioPool, primitive_triplets
+from .errors import CheckpointCorrupt, ConfigMismatch, DomainError
+from .pythagorean import RatioPool, is_pythagorean_ratio, primitive_triplets
 from .rat import Rat, parse_rat
 from .solver import (
     Solution,
     check_distinct,
     check_general_position,
+    complete_psi,
+    indices_set,
     solution_from_x,
     solve_x,
 )
@@ -43,10 +54,9 @@ MODE_MULTISET = "multiset_dedup"
 MODE_SUBSET = "subset_only"
 MODES = (MODE_ORDERED, MODE_MULTISET, MODE_SUBSET)
 
-GP_OFF = "off"
 GP_ANNOTATE = "annotate"
 GP_REQUIRE = "require"
-GP_FILTERS = (GP_OFF, GP_ANNOTATE, GP_REQUIRE)
+GP_FILTERS = (GP_ANNOTATE, GP_REQUIRE)
 
 # Per-solution flag bits stored alongside canonical keys.
 FLAG_GP = 1  # general position under the adopted rule
@@ -137,14 +147,6 @@ def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]
     return ranges
 
 
-def _is_ratio(v: Fraction) -> bool:
-    a = v.denominator
-    b = v.numerator
-    s = a * a + b * b
-    r = math.isqrt(s)
-    return r * r == s
-
-
 def _key_of(x: list[Fraction]) -> tuple:
     return tuple((v.numerator, v.denominator) for v in sorted(x))
 
@@ -160,37 +162,10 @@ def _flags_of_x(x: list[Fraction]) -> int:
     return flags
 
 
-def _iter_tail(head: list[Fraction]) -> Iterator[Fraction]:
-    """Lazy forced-tail values, in vector order (see solver.complete_psi)."""
-    n = len(head)
-    pn = head[-1]
-    p1, p2 = head[0], head[1]
-    for i in range(1, n * (n - 1) // 2 - n + 1):
-        if i <= n - 3:
-            yield pn + head[i + 1] - p2
-        elif i <= 2 * n - 6:
-            yield pn + head[i + 4 - n] - p1
-        else:
-            m_i, n_i = _SUB_PAIRS(n)[i + 6 - 2 * n - 1]
-            yield pn + head[m_i + 1] + head[n_i + 1] - p1 - p2
-
-
-_sub_pairs_cache: dict[int, list[tuple[int, int]]] = {}
-
-
-def _SUB_PAIRS(n: int) -> list[tuple[int, int]]:
-    pairs = _sub_pairs_cache.get(n)
-    if pairs is None:
-        pairs = list(combinations(range(1, n - 2), 2))
-        _sub_pairs_cache[n] = pairs
-    return pairs
-
-
 def _consider_head(head: list[Fraction], found: dict[tuple, int]) -> None:
     """Generic kernel: tail membership with early abort, then distinctness."""
-    for v in _iter_tail(head):
-        if not _is_ratio(v):
-            return
+    if not all(map(is_pythagorean_ratio, complete_psi(head)[len(head):])):
+        return
     x = solve_x(head)
     if not check_distinct(x):
         return
@@ -234,12 +209,14 @@ def _scan_ordered_blocks(
 
     Rank = i1 + M*i2 + ... + M^(n-1)*i_n over pool indices.  A block fixes
     (i2..i_n); the tail entries free of psi_1 are tested once per block and
-    failing blocks are abandoned before the inner psi_1 loop.
+    failing blocks are abandoned before the inner psi_1 loop.  The three
+    tail cases are those of ``solver.complete_psi``, split by whether they
+    depend on psi_1.
     """
     M = len(ratios)
     first_block = lo // M
     last_block = (hi - 1) // M
-    sub_pairs = _SUB_PAIRS(n)
+    sub_pairs = indices_set(n - 3) if n >= 5 else []
     for block in range(first_block, last_block + 1):
         i1_lo = lo - block * M if block == first_block else 0
         i1_hi = hi - block * M if block == last_block else M
@@ -255,7 +232,7 @@ def _scan_ordered_blocks(
         p2 = outer[0]
         ok = True
         for i in range(1, n - 2):  # case 1: psi_n + psi_{i+2} - psi_2
-            if not _is_ratio(pn + outer[i] - p2):
+            if not is_pythagorean_ratio(pn + outer[i] - p2):
                 ok = False
                 break
         if not ok:
@@ -265,13 +242,13 @@ def _scan_ordered_blocks(
             d1 = pn - p1
             ok = True
             for j in range(1, n - 2):  # case 2: psi_n + psi_{j+2} - psi_1
-                if not _is_ratio(d1 + outer[j]):
+                if not is_pythagorean_ratio(d1 + outer[j]):
                     ok = False
                     break
             if ok and sub_pairs:
                 c = d1 - p2
                 for m_i, n_i in sub_pairs:  # case 3
-                    if not _is_ratio(c + outer[m_i] + outer[n_i]):
+                    if not is_pythagorean_ratio(c + outer[m_i] + outer[n_i]):
                         ok = False
                         break
             if not ok:
@@ -312,28 +289,27 @@ def _range_worker(args: tuple) -> Partial:
     return process_range(n, ratios, mode, lo, hi)
 
 
-def merge_results(partials: Iterable[Partial]) -> Partial:
-    """Fold disjoint partials into one; raises OverlappingRanges.
+def _chunk_results(
+    config: SearchConfig, ratios: tuple[Fraction, ...], chunks: list[tuple[int, int]]
+) -> Iterator[Partial]:
+    """Each chunk's Partial, in rank order: in this process, or on a pool.
 
-    Associative and commutative: the combined key map is a plain union
-    (flag values are functions of the key) and counts are taken after the
-    union, never summed per partial.
+    Closing the generator early, or an interrupt while it waits, cancels
+    the chunks still queued.
     """
-    parts = sorted(partials, key=lambda p: (p.rank_lo, p.rank_hi))
-    merged: dict[tuple, int] = {}
-    last_hi = None
-    lo = parts[0].rank_lo if parts else 0
-    hi = parts[-1].rank_hi if parts else 0
-    for p in parts:
-        if last_hi is not None and p.rank_lo < last_hi:
-            raise OverlappingRanges(
-                f"range [{p.rank_lo}, {p.rank_hi}) overlaps previous end {last_hi}"
-            )
-        last_hi = max(last_hi, p.rank_hi) if last_hi is not None else p.rank_hi
-        for key, flags in p.found.items():
-            if key not in merged:
-                merged[key] = flags
-    return Partial(rank_lo=lo, rank_hi=hi, found=merged)
+    if config.workers == 1 or len(chunks) <= 1:
+        for lo, hi in chunks:
+            yield process_range(config.n, ratios, config.enumeration_mode, lo, hi)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    ratio_pairs = tuple((r.numerator, r.denominator) for r in ratios)
+    args = [(config.n, config.enumeration_mode, ratio_pairs, lo, hi) for lo, hi in chunks]
+    pool_exec = ProcessPoolExecutor(max_workers=config.workers)
+    try:
+        yield from pool_exec.map(_range_worker, args)
+    finally:
+        pool_exec.shutdown(cancel_futures=True)
 
 
 # --- checkpointing ---------------------------------------------------------
@@ -437,7 +413,7 @@ def run_enumeration(
             if hi > lo
         ]
 
-    def finish_chunk(partial: Partial, done_through: int) -> None:
+    def finish_chunk(partial: Partial) -> None:
         fresh = [k for k in partial.found if k not in found]
         for k in fresh:
             found[k] = partial.found[k]
@@ -453,7 +429,7 @@ def run_enumeration(
                 {
                     "schema_version": _CHECKPOINT_SCHEMA,
                     "config": echo,
-                    "next_rank": done_through,
+                    "next_rank": partial.rank_hi,
                     "theta_all_so_far": len(found),
                     "theta_gp_so_far": gp,
                     "output_offset": offset,
@@ -461,30 +437,12 @@ def run_enumeration(
             )
 
     completed = True
-    done = 0
-    if config.workers == 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            finish_chunk(process_range(config.n, pool.ratios, config.enumeration_mode, lo, hi), hi)
-            done += 1
-            if stop_after_ranges is not None and done >= stop_after_ranges and (lo, hi) != chunks[-1]:
+    with closing(_chunk_results(config, pool.ratios, chunks)) as partials:
+        for done, partial in enumerate(partials, 1):
+            finish_chunk(partial)
+            if stop_after_ranges is not None and done >= stop_after_ranges and partial.rank_hi < total:
                 completed = False
                 break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ratio_pairs = tuple((r.numerator, r.denominator) for r in pool.ratios)
-        args = [(config.n, config.enumeration_mode, ratio_pairs, lo, hi) for lo, hi in chunks]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool_exec:
-            for partial in pool_exec.map(_range_worker, args):
-                finish_chunk(partial, partial.rank_hi)
-                done += 1
-                if (
-                    stop_after_ranges is not None
-                    and done >= stop_after_ranges
-                    and partial.rank_hi < total
-                ):
-                    completed = False
-                    break
 
     if completed and ckpt:
         for path in (ckpt, _sidecar_path(ckpt)):

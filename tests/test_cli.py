@@ -143,6 +143,12 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_gp_off_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "3", "--gamma-max", "25", "--gp", "off"])
+    assert exc.value.code == 2
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -186,6 +192,36 @@ def test_search_checkpoint_resume_via_cli(tmp_path, capsys):
     ])
     assert code == 0
     assert resumed.read_bytes() == base.read_bytes()
+    assert not ckpt.exists()
+
+
+def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
+    import rds.search
+
+    argv = ["search", "--n", "4", "--gamma-max", "25", "--workers", "1"]
+    assert main(argv) == 0
+    base = capsys.readouterr().out
+
+    process_range = rds.search.process_range
+    calls = []
+
+    def interrupt_third_chunk(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return process_range(*args)
+
+    monkeypatch.setattr(rds.search, "process_range", interrupt_third_chunk)
+    ckpt = tmp_path / "ctrl-c.ckpt"
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 130
+    _, err = capsys.readouterr()
+    assert err == "rds: interrupted\n"
+    # the checkpoint holds the two chunks that completed
+    assert json.loads(ckpt.read_text())["next_rank"] == calls[1][-1]
+
+    monkeypatch.undo()
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().out == base
     assert not ckpt.exists()
 
 

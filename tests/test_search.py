@@ -1,29 +1,25 @@
 """Search orchestration: enumeration modes, dedup, partitioning, checkpoints."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
 
-from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError, OverlappingRanges
+from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
 from rds.pythagorean import build_pool
 from rds.search import (
     MODE_MULTISET,
     MODE_ORDERED,
     MODE_SUBSET,
     CountReport,
-    Partial,
     SearchConfig,
     count_solutions,
-    merge_results,
     partition_space,
     pool_growth_report,
-    process_range,
     run_enumeration,
     search,
-    total_ranks,
 )
-from rds.solver import check_general_position, verify_rds
+from rds.solver import check_general_position, solve_x, verify_rds
 
 
 def test_partition_space_examples():
@@ -65,20 +61,38 @@ def test_search_empty_pool():
     assert list(search(SearchConfig(n=3, gamma_bound=4), pool)) == []
 
 
-def test_completeness_against_verify_only_oracle():
-    # Independent oracle: try every 3-subset of the pool and keep exactly
-    # those whose pair sums pass the distance oracle; no completion or
-    # existence code involved.
-    pool = build_pool(25)
-    expected = set()
-    for triple in combinations(pool.ratios, 3):
-        from rds.solver import solve_x
+_ORACLE_HEADS = {
+    MODE_ORDERED: lambda pool, n: product(pool, repeat=n),
+    MODE_MULTISET: combinations_with_replacement,
+    MODE_SUBSET: combinations,
+}
 
-        x = solve_x(list(triple))
-        if len(set(x)) == 3 and verify_rds(x).ok:
+
+@pytest.mark.parametrize(
+    "n, gamma, mode, sets",
+    [
+        (3, 25, MODE_ORDERED, 680),
+        (4, 17, MODE_ORDERED, 55),
+        (4, 17, MODE_MULTISET, 35),
+        (4, 17, MODE_SUBSET, 20),
+        (5, 13, MODE_MULTISET, 0),
+        (5, 13, MODE_SUBSET, 0),
+    ],
+)
+def test_completeness_against_verify_only_oracle(n, gamma, mode, sets):
+    # Independent oracle: solve every head the mode draws from the pool and
+    # keep exactly the distinct point sets that pass the distance oracle;
+    # no completion or existence code involved.
+    pool = build_pool(gamma)
+    expected = set()
+    for head in _ORACLE_HEADS[mode](pool.ratios, n):
+        x = solve_x(list(head))
+        if len(set(x)) == n and verify_rds(x).ok:
             expected.add(tuple(sorted(x)))
-    got = {tuple(sorted(s.x)) for s in search(SearchConfig(n=3, gamma_bound=25), pool)}
+    config = SearchConfig(n=n, gamma_bound=gamma, enumeration_mode=mode)
+    got = {tuple(sorted(s.x)) for s in search(config, pool)}
     assert got == expected
+    assert len(got) == sets
 
 
 def test_emission_is_sorted_and_verified():
@@ -133,21 +147,6 @@ def test_deterministic_across_worker_counts():
         streams.append(list(search(cfg, pool)))
     assert streams[0] == streams[1] == streams[2]
     assert len(streams[0]) == 156
-
-
-def test_partials_merge_and_overlap_detection():
-    pool = build_pool(25)
-    total = total_ranks(MODE_ORDERED, len(pool.ratios), 3)
-    (lo1, hi1), (lo2, hi2) = partition_space(total, 2)
-    p1 = process_range(3, pool.ratios, MODE_ORDERED, lo1, hi1)
-    p2 = process_range(3, pool.ratios, MODE_ORDERED, lo2, hi2)
-    merged = merge_results([p1, p2])
-    assert len(merged.found) == 680
-    swapped = merge_results([p2, p1])
-    assert swapped.found == merged.found
-    assert merge_results([p1]).found == p1.found
-    with pytest.raises(OverlappingRanges):
-        merge_results([p1, Partial(rank_lo=hi1 - 1, rank_hi=hi1 + 5, found={})])
 
 
 def test_pool_mismatch_rejected():
