@@ -3,8 +3,8 @@
 A triplet (alpha, beta, gamma) has alpha^2 + beta^2 = gamma^2 with
 gamma > 0.  Its ratios are the four values +-beta/alpha and +-alpha/beta;
 together with the zero ratio these are the building blocks for rational
-distance sets.  A canonical fraction b/a is such a ratio exactly when
-a^2 + b^2 is a perfect square, which keeps the membership test independent
+distance sets.  A fraction b/a is such a ratio exactly when a^2 + b^2 is a
+perfect square, reduced or not, which keeps the membership test independent
 of any hypotenuse bound.
 
 Generation uses the Euclid parametrization: for coprime m > n > 0 of
@@ -120,18 +120,24 @@ def build_pool(gamma_bound: int, include_zero: bool = True) -> RatioPool:
     )
 
 
-def is_pythagorean_ratio(q: Rat) -> bool:
-    """True iff, for canonical q = b/a, a^2 + b^2 is a perfect square.
+def is_ratio_pair(b: int, a: int) -> bool:
+    """True iff b/a is a Pythagorean ratio, for integers b and a != 0.
 
-    The zero ratio passes without a branch: it is stored as 0/1, and
-    0^2 + 1^2 = 1 is a square.  This test sits in the search kernels'
-    innermost loops, so it stays free of helper calls.
+    a^2 + b^2 is a perfect square exactly when (ka)^2 + (kb)^2 is, for any
+    k != 0, so the pair need not be reduced: the search kernels pass
+    unreduced numerators and denominators and never build a Fraction.  The
+    zero ratio passes without a branch, since 0^2 + a^2 is a square.  This
+    test sits in the search kernels' innermost loops, so it stays free of
+    helper calls.
     """
-    a = q.denominator
-    b = q.numerator
     s = a * a + b * b
     r = math.isqrt(s)
     return r * r == s
+
+
+def is_pythagorean_ratio(q: Rat) -> bool:
+    """True iff, for canonical q = b/a, a^2 + b^2 is a perfect square."""
+    return is_ratio_pair(q.numerator, q.denominator)
 
 
 def min_hypotenuse(q: Rat) -> int:

@@ -13,8 +13,18 @@ distinctness conditions.  Every candidate has a deterministic rank:
 Solutions are deduplicated by their canonical key, the sorted abscissa
 list, so worker count and partition boundaries never affect the result.
 Dependent (tail) ratios come from ``solver.complete_psi``'s formula and
-are tested by ``pythagorean.is_pythagorean_ratio``, exactly and without
-the pool's hypotenuse cap.
+are tested exactly, without the pool's hypotenuse cap.
+
+The ordered kernels work in integers.  For n >= 4, most tail entries
+have the form psi_n + psi_k - psi_t (t = 1, 2), so a head survives only
+if psi_1 and psi_2 lie in every membership set
+R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
+are cached per chunk and decided by ``pythagorean.is_ratio_pair`` on
+unreduced numerator/denominator pairs.  Keys of survivors come from the
+closed form over a common denominator (``solver.solve_x_scaled``), and
+``solve_x`` runs once per key new to the chunk, for the flags.  The
+multiset and subset modes keep the ``Fraction`` path
+(``_consider_head``), which the tests also use as the reference.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
@@ -30,6 +40,7 @@ import json
 import math
 import os
 import time
+from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +48,7 @@ from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError
-from .pythagorean import RatioPool, is_pythagorean_ratio, primitive_triplets
+from .pythagorean import RatioPool, is_pythagorean_ratio, is_ratio_pair, primitive_triplets
 from .rat import Rat, parse_rat
 from .solver import (
     Solution,
@@ -47,6 +58,7 @@ from .solver import (
     indices_set,
     solution_from_x,
     solve_x,
+    solve_x_scaled,
 )
 
 MODE_ORDERED = "ordered_dedup"
@@ -174,32 +186,47 @@ def _consider_head(head: list[Fraction], found: dict[tuple, int]) -> None:
         found[key] = _flags_of_x(x)
 
 
+def _int_pairs(ratios: tuple[Fraction, ...]) -> list[tuple[int, int]]:
+    return [(r.numerator, r.denominator) for r in ratios]
+
+
+def _scaled_key(nums: list[int], den: int) -> tuple:
+    """The canonical key of the abscissae nums[i] / den, for den > 0."""
+    return tuple([(v // (g := math.gcd(v, den)), den // g) for v in nums])
+
+
 def _scan_triples(ratios: tuple[Fraction, ...], lo: int, hi: int, found: dict) -> None:
     """n = 3 fast path over strictly increasing heads.
 
     Distinct head entries force distinct x (pairwise x differences are
     pairwise psi differences), so no distinctness check is needed; and with
-    p < q < r the solved x come out already sorted ascending.
+    p < q < r the solved x come out already sorted ascending.  The x are
+    integer numerators over 2*a_p*a_q*a_r, each reduced by one gcd, so the
+    zero-sum test is an integer sum.
     """
-    half = Fraction(1, 2)
+    pairs = _int_pairs(ratios)
     for i, j, k in islice(combinations(range(len(ratios)), 3), lo, hi):
-        p, q, r = ratios[i], ratios[j], ratios[k]
-        s = p + q + r
-        h = s * half
-        x1 = h - r
-        x2 = h - q
-        x3 = h - p
-        key = (
-            (x1.numerator, x1.denominator),
-            (x2.numerator, x2.denominator),
-            (x3.numerator, x3.denominator),
-        )
-        if s == 0:
+        bp, ap = pairs[i]
+        bq, aq = pairs[j]
+        br, ar = pairs[k]
+        aqr = aq * ar
+        apr = ap * ar
+        x = solve_x_scaled((bp * aqr, bq * apr, br * ap * aq))
+        key = _scaled_key(x, 2 * ap * aqr)
+        if x[0] + x[1] + x[2] == 0:
             # zero abscissa sum; mirror sets additionally contain the point 0
-            mirror = p == 0 or q == 0 or r == 0
+            mirror = bp == 0 or bq == 0 or br == 0
             found[key] = (0 if mirror else FLAG_GP) | FLAG_ZERO_SUM
         else:
             found[key] = FLAG_GP
+
+
+def _sum_class(pairs: list[tuple[int, int]], k: int, m: int) -> list[int]:
+    """R(S) for S = pool[k] + pool[m]: ascending indices p with S - pool[p] a ratio."""
+    bk, ak = pairs[k]
+    bm, am = pairs[m]
+    sn, sd = bk * am + bm * ak, ak * am
+    return [p for p, (b, a) in enumerate(pairs) if is_ratio_pair(sn * a - b * sd, sd * a)]
 
 
 def _scan_ordered_blocks(
@@ -207,58 +234,76 @@ def _scan_ordered_blocks(
 ) -> None:
     """Ordered-mode scan for n >= 4 over colex ranks [lo, hi).
 
-    Rank = i1 + M*i2 + ... + M^(n-1)*i_n over pool indices.  A block fixes
-    (i2..i_n); the tail entries free of psi_1 are tested once per block and
-    failing blocks are abandoned before the inner psi_1 loop.  The three
-    tail cases are those of ``solver.complete_psi``, split by whether they
-    depend on psi_1.
+    Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
+    The case-1 and case-2 tails of ``solver.complete_psi`` are
+    psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1: both psi_1 and
+    psi_2 must lie in every membership set R(psi_n + psi_k), where
+    R(S) = {p in pool : S - p is a ratio}.  Each R is computed once per
+    call from M integer ratio tests and cached by its index pair; an outer
+    block runs i2 and then i1 only over the intersection of its sets, cut
+    to the rank window.  Case 3 (n >= 5) is tested per surviving head on
+    unreduced integer pairs.  A survivor's canonical key is computed in
+    integers (numerators over 2 * prod(a_j), each reduced by one gcd), and
+    ``solve_x`` runs once per key new to this call, for its flags.
     """
     M = len(ratios)
-    first_block = lo // M
-    last_block = (hi - 1) // M
+    pairs = _int_pairs(ratios)
+    classes: dict[tuple[int, int], list[int]] = {}
     sub_pairs = indices_set(n - 3) if n >= 5 else []
-    for block in range(first_block, last_block + 1):
-        i1_lo = lo - block * M if block == first_block else 0
-        i1_hi = hi - block * M if block == last_block else M
-        if i1_hi > M:
-            i1_hi = M
-        rem = block
-        outer = []
-        for _ in range(n - 1):
+    square = M * M
+    for o in range(lo // square, (hi - 1) // square + 1):
+        rem = o
+        outer = []  # outer[j] = index of psi_{j+3}; outer[-1] = index of psi_n
+        for _ in range(n - 2):
             rem, r_ = divmod(rem, M)
-            outer.append(ratios[r_])
-        # outer[j] = psi_{j+2}; outer[-1] = psi_n
-        pn = outer[-1]
-        p2 = outer[0]
-        ok = True
-        for i in range(1, n - 2):  # case 1: psi_n + psi_{i+2} - psi_2
-            if not is_pythagorean_ratio(pn + outer[i] - p2):
-                ok = False
+            outer.append(r_)
+        i_n = outer[-1]
+        shared = None  # the pool indices in every R(psi_n + psi_k)
+        for k in outer[:-1]:
+            cls = classes.get((k, i_n))
+            if cls is None:
+                cls = classes[k, i_n] = _sum_class(pairs, k, i_n)
+            shared = set(cls) if shared is None else shared.intersection(cls)
+            if not shared:
                 break
-        if not ok:
+        if not shared:
             continue
-        for i1 in range(i1_lo, i1_hi):
-            p1 = ratios[i1]
-            d1 = pn - p1
-            ok = True
-            for j in range(1, n - 2):  # case 2: psi_n + psi_{j+2} - psi_1
-                if not is_pythagorean_ratio(d1 + outer[j]):
-                    ok = False
-                    break
-            if ok and sub_pairs:
-                c = d1 - p2
-                for m_i, n_i in sub_pairs:  # case 3
-                    if not is_pythagorean_ratio(c + outer[m_i] + outer[n_i]):
-                        ok = False
-                        break
-            if not ok:
+        members = sorted(shared)
+        # psi_3..psi_n over the common denominator prod_a of their own
+        prod_a = 1
+        for k in outer:
+            prod_a *= pairs[k][1]
+        outer_nums = [pairs[k][0] * (prod_a // pairs[k][1]) for k in outer]
+        for i2 in members:
+            base = (i2 + M * o) * M
+            if base >= hi:
+                break
+            if base + M <= lo:
                 continue
-            x = solve_x([p1] + outer)
-            if not check_distinct(x):
-                continue
-            key = _key_of(x)
-            if key not in found:
-                found[key] = _flags_of_x(x)
+            b2, a2 = pairs[i2]
+            first = bisect_left(members, lo - base) if base < lo else 0
+            last = bisect_left(members, hi - base) if hi - base < M else len(members)
+            for i1 in members[first:last]:
+                b1, a1 = pairs[i1]
+                # the head psi_1..psi_n as numerators over den
+                scale = a1 * a2
+                den = scale * prod_a
+                nums = [b1 * a2 * prod_a, b2 * a1 * prod_a] + [v * scale for v in outer_nums]
+                if sub_pairs:  # case 3: psi_n + psi_a + psi_b - psi_1 - psi_2
+                    c = nums[-1] - nums[0] - nums[1]
+                    if not all(
+                        is_ratio_pair(c + nums[m_i + 1] + nums[n_i + 1], den)
+                        for m_i, n_i in sub_pairs
+                    ):
+                        continue
+                x = solve_x_scaled(nums)
+                x.sort()
+                if any(u == v for u, v in zip(x, x[1:])):
+                    continue
+                key = _scaled_key(x, 2 * den)
+                if key not in found:
+                    head = [ratios[i1], ratios[i2]] + [ratios[k] for k in outer]
+                    found[key] = _flags_of_x(solve_x(head))
 
 
 def process_range(
@@ -327,23 +372,36 @@ def _write_checkpoint(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, int]]:
     """Return (next_rank, found) reconstructed from a checkpoint pair."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointCorrupt(f"checkpoint {path} is not a JSON object")
+    try:
         schema = payload["schema_version"]
         config = payload["config"]
         next_rank = payload["next_rank"]
         offset = payload["output_offset"]
-    except (OSError, ValueError, KeyError) as exc:
-        raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
+    except KeyError as exc:
+        raise CheckpointCorrupt(f"checkpoint {path} lacks {exc}") from exc
     if schema != _CHECKPOINT_SCHEMA:
         raise CheckpointCorrupt(f"unsupported checkpoint schema {schema}")
     if config != expected_echo:
         raise ConfigMismatch(
             f"checkpoint config {config} does not match current config {expected_echo}"
         )
+    if not _is_int(next_rank) or not 0 <= next_rank <= expected_echo["total_ranks"]:
+        raise CheckpointCorrupt(f"checkpoint next_rank {next_rank!r} is out of range")
+    if not _is_int(offset) or offset < 0:
+        raise CheckpointCorrupt(f"checkpoint output_offset {offset!r} is not a byte offset")
     found: dict[tuple, int] = {}
     sidecar = _sidecar_path(path)
     try:

@@ -160,6 +160,22 @@ def solve_x(head: Sequence[Rat], free: Rat | None = None) -> list[Rat]:
     return x
 
 
+def solve_x_scaled(nums: Sequence[int]) -> list[int]:
+    """``solve_x`` in integers, for a head over one common denominator.
+
+    With psi_j = nums[j] / P for a single P > 0 and n = len(nums) >= 3,
+    returns the numerators of the abscissae over the denominator 2P, in
+    the order ``solve_x`` gives them; the halves of the closed form go into
+    that denominator, so no step leaves the integers.
+    """
+    n1, n2, nn = nums[0], nums[1], nums[-1]
+    x = [n1 + n2 - nn, n1 - n2 + nn, -n1 + n2 + nn]
+    base = -n1 - n2 + nn
+    for v in nums[2:-1]:
+        x.append(base + 2 * v)
+    return x
+
+
 def complete_psi(head: Sequence[Rat]) -> list[Rat]:
     """Extend an n-entry head to the full (n choose 2) ratio vector.
 

@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, records, determinism, checkpoints."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rds.cli import main
 from rds.records import read_jsonl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -226,8 +230,11 @@ def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_installed():
+    # a fresh interpreter does not see pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "rds", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "rds", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("rds ")

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt as floor_sqrt, pi
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rds.errors import DomainError, EmptyInterval, NotARatio
 from rds.pythagorean import (
@@ -18,6 +19,7 @@ from rds.pythagorean import (
     classify_ratio,
     find_ratio_in_interval,
     is_pythagorean_ratio,
+    is_ratio_pair,
     min_hypotenuse,
     nu,
     nu_triplet,
@@ -137,6 +139,31 @@ def test_ratio_membership_against_triplet_table_oracle():
             expected = (a, b) in table
             assert is_pythagorean_ratio(Fraction(b, a)) == expected
             assert is_pythagorean_ratio(Fraction(-b, a)) == expected
+
+
+# (b, a) pairs: arbitrary ones, and ones that are ratios by construction
+# (Euclid legs, in either role, either sign, not necessarily primitive)
+_RATIO_LEGS = st.builds(
+    lambda m, n, swap, sign: (
+        (sign * 2 * m * n, m * m - n * n) if swap else (sign * (m * m - n * n), 2 * m * n)
+    ),
+    st.integers(2, 300),
+    st.integers(1, 299),
+    st.booleans(),
+    st.sampled_from([1, -1]),
+).filter(lambda ba: ba[1] != 0)
+_ANY_PAIR = st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@given(pair=st.one_of(_RATIO_LEGS, _ANY_PAIR), k=st.integers(1, 10**4))
+@example(pair=(0, 7), k=3)
+@example(pair=(-4, 3), k=5)
+@example(pair=(-371, 264), k=2)
+def test_integer_ratio_test_is_the_fraction_test_on_any_scaling(pair, k):
+    b, a = pair
+    expected = is_pythagorean_ratio(Fraction(b, a))
+    assert is_ratio_pair(b, a) == expected
+    assert is_ratio_pair(k * b, k * a) == expected
 
 
 def test_min_hypotenuse():

@@ -1,12 +1,17 @@
 """Search orchestration: enumeration modes, dedup, partitioning, checkpoints."""
 
-from itertools import combinations, combinations_with_replacement, product
+import json
+from collections import defaultdict
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
-from rds.pythagorean import build_pool
+from rds.pythagorean import build_pool, is_pythagorean_ratio
 from rds.search import (
     MODE_MULTISET,
     MODE_ORDERED,
@@ -15,11 +20,20 @@ from rds.search import (
     SearchConfig,
     count_solutions,
     partition_space,
+    _flags_of_x,
     pool_growth_report,
+    process_range,
     run_enumeration,
     search,
+    total_ranks,
 )
-from rds.solver import check_general_position, solve_x, verify_rds
+from rds.solver import (
+    check_distinct,
+    check_general_position,
+    complete_psi,
+    solve_x,
+    verify_rds,
+)
 
 
 def test_partition_space_examples():
@@ -93,6 +107,105 @@ def test_completeness_against_verify_only_oracle(n, gamma, mode, sets):
     got = {tuple(sorted(s.x)) for s in search(config, pool)}
     assert got == expected
     assert len(got) == sets
+
+
+def _naive_ordered(n, ratios, lo, hi):
+    """Ordered mode by brute force over ranks [lo, hi), in Fraction arithmetic.
+
+    n = 3 ranks strictly increasing heads; n >= 4 ranks all M^n heads
+    colexicographically (psi_1 fastest), i.e. reversed ``product`` tuples.
+    Yields (rank, key, flags) for every head whose solution is kept.
+    """
+    if n == 3:
+        heads = combinations(ratios, 3)
+    else:
+        heads = (h[::-1] for h in product(ratios, repeat=n))
+    for rank, head in enumerate(islice(heads, lo, hi), lo):
+        head = list(head)
+        if not all(map(is_pythagorean_ratio, complete_psi(head)[n:])):
+            continue
+        x = solve_x(head)
+        if check_distinct(x):
+            yield rank, tuple((v.numerator, v.denominator) for v in sorted(x)), _flags_of_x(x)
+
+
+_POOL_65 = build_pool(65).ratios
+
+
+def _heads_in(points, pool):
+    """Each labelling's ordered head (psi_12, ..., psi_1n, psi_23) lying in pool."""
+    for p in permutations(points):
+        head = tuple(p[0] + v for v in p[1:]) + (p[1] + p[2],)
+        if all(v in pool for v in head):
+            yield head
+
+
+@cache
+def _seed_heads():
+    """Heads on which a slip in a kernel shows: n = 3 mirror triples, the
+    ordered RDS(4) of gamma 25, and five-point sets made of two of those
+    sharing three points, so that exactly one pair sum is not a ratio."""
+    pool = set(_POOL_65)
+    rds4 = [s.x for s in search(SearchConfig(n=4, gamma_bound=25), build_pool(25))]
+    by_triple = defaultdict(list)
+    for x in rds4:
+        for triple in combinations(x, 3):
+            by_triple[triple].append(x)
+    near5 = set()
+    for triple, xs in by_triple.items():
+        for a, b in combinations(xs, 2):
+            (d,) = set(a) - set(triple)
+            (e,) = set(b) - set(triple)
+            if not is_pythagorean_ratio(d + e):
+                near5.add(tuple(sorted(triple + (d, e))))
+    return {
+        3: [(-r, Fraction(0), r) for r in _POOL_65 if r > 0],
+        4: [h for x in rds4 for h in _heads_in(x, pool)],
+        5: [h for x in sorted(near5) for h in _heads_in(x, pool)],
+    }
+
+
+@st.composite
+def _ordered_windows(draw):
+    """(n, sub-pool of 4..9 ratios, rank cuts): the sub-pool holds a seed
+    head plus random pool ratios, and the cuts lie near the seed head's
+    rank, often right next to it or to the edges of its block of M ranks."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    seed = draw(st.sampled_from(_seed_heads()[n]))
+    k = len(set(seed))
+    others = [r for r in _POOL_65 if r not in seed]
+    extra = draw(st.sets(st.sampled_from(others), min_size=max(0, 4 - k), max_size=9 - k))
+    ratios = tuple(sorted(set(seed) | extra))
+    M = len(ratios)
+    idx = [ratios.index(v) for v in seed]
+    if n == 3:
+        rank = list(combinations(range(M), 3)).index(tuple(idx))
+    else:
+        rank = sum(i * M**j for j, i in enumerate(idx))
+    total = total_ranks(MODE_ORDERED, M, n)
+    block = rank - rank % M
+    near = (rank - 1, rank, rank + 1, rank + 2, block, block + 1, block + M - 1, block + M)
+    near = sorted({min(max(v, 0), total) for v in near})
+    # a few outer blocks (M^2 ranks each) around the seed keep the reference cheap
+    span = st.integers(max(0, rank - 2 * M * M), min(total, rank + 2 * M * M))
+    cuts = draw(st.lists(span | st.sampled_from(near), min_size=2, max_size=6))
+    return n, ratios, sorted(cuts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=_ordered_windows())
+def test_ordered_kernels_match_naive_reference(window):
+    # per window between consecutive cuts: the integer kernels' keys, flags
+    # and insertion order equal the first finds of the Fraction reference
+    n, ratios, cuts = window
+    survivors = list(_naive_ordered(n, ratios, cuts[0], cuts[-1]))
+    for lo, hi in zip(cuts, cuts[1:]):
+        want = {}
+        for rank, key, flags in survivors:
+            if lo <= rank < hi and key not in want:
+                want[key] = flags
+        got = process_range(n, ratios, MODE_ORDERED, lo, hi).found
+        assert list(got.items()) == list(want.items())
 
 
 def test_emission_is_sorted_and_verified():
@@ -204,11 +317,35 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
         run_enumeration(other, pool)
 
 
-def test_checkpoint_corrupt_file(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: "{not json",
+        lambda p: "[1]",
+        lambda p: json.dumps({**p, "output_offset": "x"}),
+        lambda p: json.dumps({**p, "output_offset": -1}),
+        lambda p: json.dumps({**p, "next_rank": "7"}),
+        lambda p: json.dumps({**p, "next_rank": True}),
+        lambda p: json.dumps({**p, "next_rank": -1}),
+        lambda p: json.dumps({**p, "next_rank": p["config"]["total_ranks"] + 1}),
+    ],
+    ids=[
+        "not-json",
+        "not-object",
+        "offset-string",
+        "offset-negative",
+        "rank-string",
+        "rank-bool",
+        "rank-negative",
+        "rank-past-end",
+    ],
+)
+def test_checkpoint_corrupt_file(tmp_path, edit):
     pool = build_pool(25)
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_text("{not json")
     cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(ckpt))
+    run_enumeration(cfg, pool, stop_after_ranges=1)
+    ckpt.write_text(edit(json.loads(ckpt.read_text())))
     with pytest.raises(CheckpointCorrupt):
         run_enumeration(cfg, pool)
 
