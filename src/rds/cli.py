@@ -65,6 +65,9 @@ _MODE_BY_FLAG = {
     "multiset": MODE_MULTISET,
     "subset": MODE_SUBSET,
 }
+_MODE_HELP = (
+    "heads tried: ordered, all; multiset, pool indices never decrease; subset, they strictly increase"
+)
 
 
 def _default_workers() -> int:
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive search over a bounded ratio pool")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma-max", type=int, required=True)
-    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered")
+    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
     p.add_argument(
         "--gp",
         choices=list(GP_FILTERS),
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count solutions per hypotenuse bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma-list", required=True, help="comma-separated bounds, e.g. 25,29,41")
-    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered")
+    p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (JSONL)")
     p.add_argument("--no-zero", action="store_true")

@@ -2,29 +2,29 @@
 
 Candidate independent ratio vectors (heads) are drawn from a bounded
 ratio pool, completed to full vectors, and filtered by the membership and
-distinctness conditions.  Every candidate has a deterministic rank:
+distinctness conditions.  Every mode shares one rank space per n:
 
-* ordered mode ranks all M^n head assignments colexicographically
-  (position 1 varies fastest); for n = 3 this provably collapses to the
-  C(M,3) strictly increasing heads, which are enumerated directly;
-* multiset mode ranks non-decreasing heads in lexicographic index order;
-* subset mode ranks strictly increasing heads the same way.
+* n = 3 ranks the C(M,3) strictly increasing heads lexicographically;
+  every mode gives exactly these sets (permuting a head permutes x, and a
+  repeated entry repeats an x);
+* n >= 4 ranks all M^n head assignments colexicographically (position 1
+  varies fastest).  Ordered mode keeps every head, multiset mode only
+  heads whose pool indices never decrease, subset mode only heads whose
+  indices strictly increase.
 
 Solutions are deduplicated by their canonical key, the sorted abscissa
 list, so worker count and partition boundaries never affect the result.
-Dependent (tail) ratios come from ``solver.complete_psi``'s formula and
-are tested exactly, without the pool's hypotenuse cap.
+Dependent (tail) ratios follow ``solver.complete_psi``'s formula and are
+tested exactly, without the pool's hypotenuse cap.
 
-The ordered kernels work in integers.  For n >= 4, most tail entries
-have the form psi_n + psi_k - psi_t (t = 1, 2), so a head survives only
-if psi_1 and psi_2 lie in every membership set
+The kernels work in integers.  For n >= 4, most tail entries have the
+form psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1
+and psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
 are cached per chunk and decided by ``pythagorean.is_ratio_pair`` on
 unreduced numerator/denominator pairs.  Keys of survivors come from the
 closed form over a common denominator (``solver.solve_x_scaled``), and
-``solve_x`` runs once per key new to the chunk, for the flags.  The
-multiset and subset modes keep the ``Fraction`` path
-(``_consider_head``), which the tests also use as the reference.
+``solve_x`` runs once per key new to the chunk, for the flags.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
@@ -44,17 +44,15 @@ from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
-from .errors import CheckpointCorrupt, ConfigMismatch, DomainError
-from .pythagorean import RatioPool, is_pythagorean_ratio, is_ratio_pair, primitive_triplets
+from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
+from .pythagorean import RatioPool, is_ratio_pair, primitive_triplets
 from .rat import Rat, parse_rat
 from .solver import (
     Solution,
-    check_distinct,
     check_general_position,
-    complete_psi,
     indices_set,
     solution_from_x,
     solve_x,
@@ -65,6 +63,9 @@ MODE_ORDERED = "ordered_dedup"
 MODE_MULTISET = "multiset_dedup"
 MODE_SUBSET = "subset_only"
 MODES = (MODE_ORDERED, MODE_MULTISET, MODE_SUBSET)
+
+# a kept head's pool indices have i_t < i_(t+1) + 1 - step (ordered: step -M, no cut)
+_ORDER_STEP = {MODE_MULTISET: 0, MODE_SUBSET: 1}
 
 GP_ANNOTATE = "annotate"
 GP_REQUIRE = "require"
@@ -135,14 +136,8 @@ class Partial:
 
 
 def total_ranks(mode: str, pool_size: int, n: int) -> int:
-    """Size of the deterministic enumeration space for a mode."""
-    if mode == MODE_ORDERED:
-        # the n = 3 assignment space collapses to strictly increasing heads:
-        # permuting a head permutes x, and repeated entries repeat an x
-        return math.comb(pool_size, 3) if n == 3 else pool_size**n
-    if mode == MODE_MULTISET:
-        return math.comb(pool_size + n - 1, n)
-    return math.comb(pool_size, n)
+    """Size of the deterministic enumeration space; every mode shares it."""
+    return math.comb(pool_size, 3) if n == 3 else pool_size**n
 
 
 def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]]:
@@ -174,18 +169,6 @@ def _flags_of_x(x: list[Fraction]) -> int:
     return flags
 
 
-def _consider_head(head: list[Fraction], found: dict[tuple, int]) -> None:
-    """Generic kernel: tail membership with early abort, then distinctness."""
-    if not all(map(is_pythagorean_ratio, complete_psi(head)[len(head):])):
-        return
-    x = solve_x(head)
-    if not check_distinct(x):
-        return
-    key = _key_of(x)
-    if key not in found:
-        found[key] = _flags_of_x(x)
-
-
 def _int_pairs(ratios: tuple[Fraction, ...]) -> list[tuple[int, int]]:
     return [(r.numerator, r.denominator) for r in ratios]
 
@@ -196,7 +179,7 @@ def _scaled_key(nums: list[int], den: int) -> tuple:
 
 
 def _scan_triples(ratios: tuple[Fraction, ...], lo: int, hi: int, found: dict) -> None:
-    """n = 3 fast path over strictly increasing heads.
+    """The n = 3 scan over strictly increasing heads, for every mode.
 
     Distinct head entries force distinct x (pairwise x differences are
     pairwise psi differences), so no distinctness check is needed; and with
@@ -229,10 +212,10 @@ def _sum_class(pairs: list[tuple[int, int]], k: int, m: int) -> list[int]:
     return [p for p, (b, a) in enumerate(pairs) if is_ratio_pair(sn * a - b * sd, sd * a)]
 
 
-def _scan_ordered_blocks(
-    ratios: tuple[Fraction, ...], n: int, lo: int, hi: int, found: dict
+def _scan_blocks(
+    ratios: tuple[Fraction, ...], n: int, mode: str, lo: int, hi: int, found: dict
 ) -> None:
-    """Ordered-mode scan for n >= 4 over colex ranks [lo, hi).
+    """The n >= 4 scan over colex ranks [lo, hi), for every mode.
 
     Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
     The case-1 and case-2 tails of ``solver.complete_psi`` are
@@ -245,8 +228,14 @@ def _scan_ordered_blocks(
     unreduced integer pairs.  A survivor's canonical key is computed in
     integers (numerators over 2 * prod(a_j), each reduced by one gcd), and
     ``solve_x`` runs once per key new to this call, for its flags.
+
+    Multiset and subset mode keep only heads in their index order: they
+    skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
+    the intersection to the rank window also cuts i2 to i2 <= i3 and i1 to
+    i1 <= i2 (multiset), or to i2 < i3 and i1 < i2 (subset).
     """
     M = len(ratios)
+    step = _ORDER_STEP.get(mode, -M)
     pairs = _int_pairs(ratios)
     classes: dict[tuple[int, int], list[int]] = {}
     sub_pairs = indices_set(n - 3) if n >= 5 else []
@@ -257,6 +246,8 @@ def _scan_ordered_blocks(
         for _ in range(n - 2):
             rem, r_ = divmod(rem, M)
             outer.append(r_)
+        if any(u >= v + 1 - step for u, v in zip(outer, outer[1:])):
+            continue
         i_n = outer[-1]
         shared = None  # the pool indices in every R(psi_n + psi_k)
         for k in outer[:-1]:
@@ -274,7 +265,7 @@ def _scan_ordered_blocks(
         for k in outer:
             prod_a *= pairs[k][1]
         outer_nums = [pairs[k][0] * (prod_a // pairs[k][1]) for k in outer]
-        for i2 in members:
+        for i2 in members[: bisect_left(members, outer[0] + 1 - step)]:
             base = (i2 + M * o) * M
             if base >= hi:
                 break
@@ -282,7 +273,7 @@ def _scan_ordered_blocks(
                 continue
             b2, a2 = pairs[i2]
             first = bisect_left(members, lo - base) if base < lo else 0
-            last = bisect_left(members, hi - base) if hi - base < M else len(members)
+            last = bisect_left(members, min(hi - base, i2 + 1 - step))
             for i1 in members[first:last]:
                 b1, a1 = pairs[i1]
                 # the head psi_1..psi_n as numerators over den
@@ -312,19 +303,10 @@ def process_range(
     """Evaluate every candidate with rank in [lo, hi)."""
     found: dict[tuple, int] = {}
     if hi > lo:
-        M = len(ratios)
-        if mode == MODE_ORDERED and n == 3:
+        if n == 3:
             _scan_triples(ratios, lo, hi, found)
-        elif mode == MODE_ORDERED:
-            _scan_ordered_blocks(ratios, n, lo, hi, found)
         else:
-            combos = (
-                combinations_with_replacement(range(M), n)
-                if mode == MODE_MULTISET
-                else combinations(range(M), n)
-            )
-            for idxs in islice(combos, lo, hi):
-                _consider_head([ratios[i] for i in idxs], found)
+            _scan_blocks(ratios, n, mode, lo, hi, found)
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
@@ -376,6 +358,20 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _sidecar_x(line: bytes, n: int) -> list[Fraction]:
+    """One sidecar line's abscissae: a JSON object whose "x" lists n strings
+    of pairwise-distinct rationals; any other line is corrupt."""
+    try:
+        strings = json.loads(line)["x"]
+        if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
+            xs = [parse_rat(s) for s in strings]
+            if len(xs) == n and len(set(xs)) == n:
+                return xs
+    except (ValueError, KeyError, TypeError, ZeroDenominator):
+        pass
+    raise CheckpointCorrupt(f"bad sidecar line {line!r}")
+
+
 def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, int]]:
     """Return (next_rank, found) reconstructed from a checkpoint pair."""
     try:
@@ -416,11 +412,8 @@ def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, i
     # drop any torn bytes past the recorded offset
     with open(sidecar, "r+b") as fh:
         fh.truncate(offset)
-    for line in blob.decode("utf-8").splitlines():
-        try:
-            xs = [parse_rat(s) for s in json.loads(line)["x"]]
-        except (ValueError, KeyError) as exc:
-            raise CheckpointCorrupt(f"bad sidecar line {line!r}") from exc
+    for line in blob.splitlines():
+        xs = _sidecar_x(line, expected_echo["n"])
         found[_key_of(xs)] = _flags_of_x(xs)
     return next_rank, found
 
@@ -472,9 +465,9 @@ def run_enumeration(
         ]
 
     def finish_chunk(partial: Partial) -> None:
-        fresh = [k for k in partial.found if k not in found]
-        for k in fresh:
-            found[k] = partial.found[k]
+        fresh = [k for k in partial.found if k not in found] if ckpt else []
+        # a key's flags depend only on its x: re-storing a known key changes nothing
+        found.update(partial.found)
         if ckpt:
             with open(_sidecar_path(ckpt), "a", encoding="utf-8") as fh:
                 for k in fresh:

@@ -1,6 +1,7 @@
 """Search orchestration: enumeration modes, dedup, partitioning, checkpoints."""
 
 import json
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
@@ -16,6 +17,7 @@ from rds.search import (
     MODE_MULTISET,
     MODE_ORDERED,
     MODE_SUBSET,
+    MODES,
     CountReport,
     SearchConfig,
     count_solutions,
@@ -40,6 +42,14 @@ def test_partition_space_examples():
     assert partition_space(10, 3) == [(0, 4), (4, 7), (7, 10)]
     assert partition_space(5, 1) == [(0, 5)]
     assert partition_space(0, 4) == [(0, 0), (0, 0), (0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_total_ranks_one_space_per_n(mode):
+    for M in (0, 1, 4, 17, 33):
+        assert total_ranks(mode, M, 3) == comb(M, 3)
+        for n in (4, 5, 6):
+            assert total_ranks(mode, M, n) == M**n
 
 
 def test_partition_space_covers_and_balances():
@@ -109,24 +119,38 @@ def test_completeness_against_verify_only_oracle(n, gamma, mode, sets):
     assert len(got) == sets
 
 
-def _naive_ordered(n, ratios, lo, hi):
-    """Ordered mode by brute force over ranks [lo, hi), in Fraction arithmetic.
+# the relation each head entry bears to the next one that a mode keeps
+_HEAD_ORDER = {
+    MODE_ORDERED: lambda a, b: True,
+    MODE_MULTISET: operator.le,
+    MODE_SUBSET: operator.lt,
+}
+
+
+def _in_head_order(mode, head):
+    return all(map(_HEAD_ORDER[mode], head, head[1:]))
+
+
+def _naive_reference(n, ratios, lo, hi):
+    """The heads of ranks [lo, hi) that solve, by brute force in Fraction arithmetic.
 
     n = 3 ranks strictly increasing heads; n >= 4 ranks all M^n heads
     colexicographically (psi_1 fastest), i.e. reversed ``product`` tuples.
-    Yields (rank, key, flags) for every head whose solution is kept.
+    Yields (rank, pool indices, key, flags) for every head whose solution
+    is kept; a mode keeps those whose indices are in its head order.
     """
     if n == 3:
-        heads = combinations(ratios, 3)
+        heads = combinations(range(len(ratios)), 3)
     else:
-        heads = (h[::-1] for h in product(ratios, repeat=n))
-    for rank, head in enumerate(islice(heads, lo, hi), lo):
-        head = list(head)
+        heads = (h[::-1] for h in product(range(len(ratios)), repeat=n))
+    for rank, idx in enumerate(islice(heads, lo, hi), lo):
+        head = [ratios[i] for i in idx]
         if not all(map(is_pythagorean_ratio, complete_psi(head)[n:])):
             continue
         x = solve_x(head)
         if check_distinct(x):
-            yield rank, tuple((v.numerator, v.denominator) for v in sorted(x)), _flags_of_x(x)
+            key = tuple((v.numerator, v.denominator) for v in sorted(x))
+            yield rank, idx, key, _flags_of_x(x)
 
 
 _POOL_65 = build_pool(65).ratios
@@ -165,15 +189,44 @@ def _seed_heads():
     }
 
 
+@cache
+def _seed_kinds(n, mode):
+    """The seed heads grouped by how each entry compares with the next (<, =
+    or >); for multiset and subset only the groups with at most one = or >,
+    whose heads the mode keeps or must cut away at one position."""
+    groups = defaultdict(list)
+    for h in _seed_heads()[n]:
+        groups[tuple((a > b) - (a < b) for a, b in zip(h, h[1:]))].append(h)
+    return [
+        g
+        for signs, g in sorted(groups.items())
+        if mode == MODE_ORDERED or sum(v >= 0 for v in signs) <= 1
+    ]
+
+
 @st.composite
-def _ordered_windows(draw):
-    """(n, sub-pool of 4..9 ratios, rank cuts): the sub-pool holds a seed
-    head plus random pool ratios, and the cuts lie near the seed head's
-    rank, often right next to it or to the edges of its block of M ranks."""
-    n = draw(st.sampled_from([3, 4, 5]))
-    seed = draw(st.sampled_from(_seed_heads()[n]))
+def _windows(draw):
+    """(n, sub-pool of 4..9 ratios, rank cuts).
+
+    The sub-pool holds a seed head plus random pool ratios, and the cuts lie
+    around the seed head's rank, often right next to it, to the edges of its
+    block of M ranks, or to its head-order edges i1 = i2 and i2 = i3.  n, a
+    mode, the seed's kind for that mode, the seed and whether extras avoid
+    the seed's range come from one uniform generator, so that heads a mode
+    must cut away at each position, or keep despite a tie, are drawn as
+    often as others; Hypothesis's own choices cluster and left most kinds
+    undrawn.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    n = rnd.choice([3, 4, 5])
+    mode = rnd.choice(MODES)
+    seed = rnd.choice(rnd.choice(_seed_kinds(n, mode)))
     k = len(set(seed))
     others = [r for r in _POOL_65 if r not in seed]
+    if rnd.random() < 0.5:
+        # extras outside the seed's range keep its entries adjacent in the
+        # sub-pool, where an off-by-one head-order cut shows
+        others = [r for r in others if not min(seed) < r < max(seed)] or others
     extra = draw(st.sets(st.sampled_from(others), min_size=max(0, 4 - k), max_size=9 - k))
     ratios = tuple(sorted(set(seed) | extra))
     M = len(ratios)
@@ -182,30 +235,40 @@ def _ordered_windows(draw):
         rank = list(combinations(range(M), 3)).index(tuple(idx))
     else:
         rank = sum(i * M**j for j, i in enumerate(idx))
-    total = total_ranks(MODE_ORDERED, M, n)
+    total = total_ranks(mode, M, n)
     block = rank - rank % M
     near = (rank - 1, rank, rank + 1, rank + 2, block, block + 1, block + M - 1, block + M)
+    if n > 3:
+        i2, i3 = idx[1:3]
+        block23 = block + M * (i3 - i2)  # the block of i2 = i3
+        near += (block + i2, block + i2 + 1, block23, block23 + i3, block23 + i3 + 1, block23 + M)
     near = sorted({min(max(v, 0), total) for v in near})
-    # a few outer blocks (M^2 ranks each) around the seed keep the reference cheap
-    span = st.integers(max(0, rank - 2 * M * M), min(total, rank + 2 * M * M))
-    cuts = draw(st.lists(span | st.sampled_from(near), min_size=2, max_size=6))
+    # a few outer blocks (M^2 ranks each) around the seed keep the reference
+    # cheap; the first cut and the last straddle the seed
+    span_lo, span_hi = max(0, rank - 2 * M * M), min(total, rank + 2 * M * M)
+    below = st.integers(span_lo, rank) | st.sampled_from([v for v in near if v <= rank])
+    above = st.integers(rank + 1, span_hi) | st.sampled_from([v for v in near if v > rank])
+    inner = st.integers(span_lo, span_hi) | st.sampled_from(near)
+    cuts = [draw(below), draw(above)] + draw(st.lists(inner, max_size=4))
     return n, ratios, sorted(cuts)
 
 
-@settings(max_examples=80, deadline=None)
-@given(window=_ordered_windows())
-def test_ordered_kernels_match_naive_reference(window):
-    # per window between consecutive cuts: the integer kernels' keys, flags
-    # and insertion order equal the first finds of the Fraction reference
+@settings(max_examples=300, deadline=None)
+@given(window=_windows())
+def test_kernels_match_naive_reference(window):
+    # per mode and window between consecutive cuts: the integer kernels'
+    # keys, flags and insertion order equal the first finds of the Fraction
+    # reference among the heads in the mode's order
     n, ratios, cuts = window
-    survivors = list(_naive_ordered(n, ratios, cuts[0], cuts[-1]))
-    for lo, hi in zip(cuts, cuts[1:]):
-        want = {}
-        for rank, key, flags in survivors:
-            if lo <= rank < hi and key not in want:
-                want[key] = flags
-        got = process_range(n, ratios, MODE_ORDERED, lo, hi).found
-        assert list(got.items()) == list(want.items())
+    survivors = list(_naive_reference(n, ratios, cuts[0], cuts[-1]))
+    for mode in MODES:
+        for lo, hi in zip(cuts, cuts[1:]):
+            want = {}
+            for rank, idx, key, flags in survivors:
+                if lo <= rank < hi and _in_head_order(mode, idx) and key not in want:
+                    want[key] = flags
+            got = process_range(n, ratios, mode, lo, hi).found
+            assert list(got.items()) == list(want.items()), mode
 
 
 def test_emission_is_sorted_and_verified():
@@ -297,6 +360,18 @@ def test_checkpoint_stop_and_resume(tmp_path):
         assert not (tmp_path / "search.ckpt.partial").exists()
 
 
+@pytest.mark.parametrize("stop_after", [1, 3])
+@pytest.mark.parametrize("mode", [MODE_MULTISET, MODE_SUBSET])
+def test_checkpoint_stop_and_resume_head_order_modes(tmp_path, mode, stop_after):
+    pool = build_pool(25)
+    ckpt = str(tmp_path / "search.ckpt")
+    baseline = list(search(SearchConfig(n=4, gamma_bound=25, enumeration_mode=mode), pool))
+    cfg = SearchConfig(n=4, gamma_bound=25, enumeration_mode=mode, checkpoint_path=ckpt)
+    _, completed = run_enumeration(cfg, pool, stop_after_ranges=stop_after)
+    assert not completed
+    assert list(search(cfg, pool)) == baseline
+
+
 def test_checkpoint_resume_with_workers(tmp_path):
     pool = build_pool(25)
     ckpt = str(tmp_path / "par.ckpt")
@@ -315,6 +390,22 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
     other = SearchConfig(n=4, gamma_bound=25, gp_filter="require", checkpoint_path=ckpt)
     with pytest.raises(ConfigMismatch):
         run_enumeration(other, pool)
+
+
+def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
+    # a checkpoint over the C(M + n - 1, n) lexicographic multiset ranks
+    # must not resume in the M^n rank space that every mode shares
+    pool = build_pool(25)
+    ckpt = tmp_path / "old.ckpt"
+    cfg = SearchConfig(
+        n=4, gamma_bound=25, enumeration_mode=MODE_MULTISET, checkpoint_path=str(ckpt)
+    )
+    run_enumeration(cfg, pool, stop_after_ranges=1)
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["total_ranks"] = comb(len(pool.ratios) + 3, 4)
+    ckpt.write_text(json.dumps(payload))
+    with pytest.raises(ConfigMismatch):
+        run_enumeration(cfg, pool)
 
 
 @pytest.mark.parametrize(
@@ -346,6 +437,39 @@ def test_checkpoint_corrupt_file(tmp_path, edit):
     cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(ckpt))
     run_enumeration(cfg, pool, stop_after_ranges=1)
     ckpt.write_text(edit(json.loads(ckpt.read_text())))
+    with pytest.raises(CheckpointCorrupt):
+        run_enumeration(cfg, pool)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"[1]",
+        b'{"x": [1]}',
+        b'{"x": ["1/2"]}',
+        b'{"x": ["1/2", "1/2", "3/4", "5/4"]}',
+        b'{"x": ["1/0", "1/2", "3/4", "5/4"]}',
+        b'{"x": ["\xff"]}',
+    ],
+    ids=[
+        "not-object",
+        "not-strings",
+        "too-few-points",
+        "repeated-point",
+        "zero-denominator",
+        "not-utf8",
+    ],
+)
+def test_checkpoint_corrupt_sidecar_line(tmp_path, line):
+    pool = build_pool(25)
+    ckpt = tmp_path / "bad.ckpt"
+    cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(ckpt))
+    run_enumeration(cfg, pool, stop_after_ranges=1)
+    sidecar = tmp_path / "bad.ckpt.partial"
+    sidecar.write_bytes(line + b"\n")
+    payload = json.loads(ckpt.read_text())
+    payload["output_offset"] = sidecar.stat().st_size
+    ckpt.write_text(json.dumps(payload))
     with pytest.raises(CheckpointCorrupt):
         run_enumeration(cfg, pool)
 
