@@ -12,18 +12,27 @@ distinctness conditions.  Every mode shares one rank space per n:
   heads whose pool indices never decrease, subset mode only heads whose
   indices strictly increase.
 
-Solutions are deduplicated by their canonical key, the sorted abscissa
-list, so worker count and partition boundaries never affect the result.
+Solutions are deduplicated by their canonical key, so worker count and
+partition boundaries never affect the result.  A key is the ascending
+tuple of integers x_i * L, where L = 2 * lcm(pool denominators) is one
+denominator for the whole pool: every abscissa solved from pool ratios is
+an integer over L.  L stays small: a pool denominator is a leg
+(m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so every prime power in it
+is at most 2 sqrt(Gamma), and L divides 2 * lcm(1..2 sqrt(Gamma)), which
+has O(sqrt(Gamma)) bits (L has 17 bits at Gamma = 65, 65 at 1001).
+Integer tuples of one positive
+denominator compare as their abscissae do, so ``search`` sorts the keys
+natively and hands each to the distance oracle as integers over L.
 Dependent (tail) ratios follow ``solver.complete_psi``'s formula and are
 tested exactly, without the pool's hypotenuse cap.
 
-The kernels work in integers.  For n >= 4, most tail entries have the
-form psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1
-and psi_2 lie in every membership set
+The kernels work in integers, on the pool's numerators over L / 2; the
+closed form (``solver.solve_x_scaled``) on those gives a key with no
+division.  For n >= 4, most tail entries have the form
+psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
+psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
-are cached per chunk and decided by ``pythagorean.is_ratio_pair`` on
-unreduced numerator/denominator pairs.  Keys of survivors come from the
-closed form over a common denominator (``solver.solve_x_scaled``), and
+are cached per chunk and decided by ``pythagorean.is_ratio_pair``, and
 ``solve_x`` runs once per key new to the chunk, for the flags.
 
 The runner splits the remaining ranks into contiguous chunks and reads
@@ -41,11 +50,11 @@ import math
 import os
 import time
 from bisect import bisect_left
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
 from .pythagorean import RatioPool, is_ratio_pair, primitive_triplets
@@ -132,7 +141,7 @@ class Partial:
 
     rank_lo: int
     rank_hi: int
-    found: dict[tuple, int]  # canonical key -> flag bits
+    found: dict[tuple[int, ...], int]  # canonical key -> flag bits
 
 
 def total_ranks(mode: str, pool_size: int, n: int) -> int:
@@ -154,66 +163,93 @@ def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]
     return ranges
 
 
-def _key_of(x: list[Fraction]) -> tuple:
-    return tuple((v.numerator, v.denominator) for v in sorted(x))
+def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
+    """L = 2 * lcm(denominators of ratios).
+
+    Every abscissa ``solve_x`` makes from a head of these ratios is half a
+    signed sum of head entries, so x * L is an integer; a canonical key is
+    the ascending tuple of those integers.
+    """
+    return 2 * math.lcm(*(r.denominator for r in ratios))
 
 
-def _x_of_key(key: tuple) -> tuple[Fraction, ...]:
-    return tuple(Fraction(a, b) for a, b in key)
+def _half_numerators(ratios: tuple[Fraction, ...], den: int) -> list[int]:
+    """Each ratio times den / 2, exactly: den / 2 is a multiple of its denominator.
+
+    The closed form (``solver.solve_x_scaled``) on these numerators gives
+    the abscissae as integers over den.
+    """
+    half = den // 2
+    return [r.numerator * (half // r.denominator) for r in ratios]
 
 
-def _flags_of_x(x: list[Fraction]) -> int:
+def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
+    """Flag bits of abscissae, or of a key: both tests are sign tests of sums."""
     flags = FLAG_GP if check_general_position(x) else 0
     if len(x) == 3 and sum(x) == 0:
         flags |= FLAG_ZERO_SUM
     return flags
 
 
-def _int_pairs(ratios: tuple[Fraction, ...]) -> list[tuple[int, int]]:
-    return [(r.numerator, r.denominator) for r in ratios]
+def _unrank_triple(M: int, rank: int) -> tuple[int, int, int]:
+    """The strictly increasing index triple of lexicographic rank ``rank`` < C(M,3)."""
+    i = 0
+    while rank >= (block := math.comb(M - 1 - i, 2)):
+        rank -= block
+        i += 1
+    j = i + 1
+    while rank >= (row := M - 1 - j):
+        rank -= row
+        j += 1
+    return i, j, j + 1 + rank
 
 
-def _scaled_key(nums: list[int], den: int) -> tuple:
-    """The canonical key of the abscissae nums[i] / den, for den > 0."""
-    return tuple([(v // (g := math.gcd(v, den)), den // g) for v in nums])
-
-
-def _scan_triples(ratios: tuple[Fraction, ...], lo: int, hi: int, found: dict) -> None:
+def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
     """The n = 3 scan over strictly increasing heads, for every mode.
 
-    Distinct head entries force distinct x (pairwise x differences are
-    pairwise psi differences), so no distinctness check is needed; and with
-    p < q < r the solved x come out already sorted ascending.  The x are
-    integer numerators over 2*a_p*a_q*a_r, each reduced by one gcd, so the
-    zero-sum test is an integer sum.
+    ``h`` holds the pool's numerators over L / 2.  Distinct head entries
+    force distinct x (pairwise x differences are pairwise psi differences),
+    so no distinctness check is needed; and with p < q < r the solved x
+    come out already sorted ascending, as the key.  The x sum to
+    (p + q + r) / 2, so the zero-sum test is an integer sum.  The window
+    starts at the unranked triple of ``lo`` and runs row (i, j) by row.
     """
-    pairs = _int_pairs(ratios)
-    for i, j, k in islice(combinations(range(len(ratios)), 3), lo, hi):
-        bp, ap = pairs[i]
-        bq, aq = pairs[j]
-        br, ar = pairs[k]
-        aqr = aq * ar
-        apr = ap * ar
-        x = solve_x_scaled((bp * aqr, bq * apr, br * ap * aq))
-        key = _scaled_key(x, 2 * ap * aqr)
-        if x[0] + x[1] + x[2] == 0:
-            # zero abscissa sum; mirror sets additionally contain the point 0
-            mirror = bp == 0 or bq == 0 or br == 0
-            found[key] = (0 if mirror else FLAG_GP) | FLAG_ZERO_SUM
-        else:
-            found[key] = FLAG_GP
+    M = len(h)
+    i, j, k = _unrank_triple(M, lo)
+    left = min(hi, math.comb(M, 3)) - lo
+    while left > 0:
+        hp, hq = h[i], h[j]
+        for hr in h[k : k + left]:
+            key = tuple(solve_x_scaled((hp, hq, hr)))
+            if hp + hq + hr == 0:
+                # zero abscissa sum; mirror sets additionally contain the point 0
+                mirror = hp == 0 or hq == 0 or hr == 0
+                found[key] = (0 if mirror else FLAG_GP) | FLAG_ZERO_SUM
+            else:
+                found[key] = FLAG_GP
+        left -= M - k
+        j += 1
+        if j == M - 1:
+            i += 1
+            j = i + 1
+        k = j + 1
 
 
-def _sum_class(pairs: list[tuple[int, int]], k: int, m: int) -> list[int]:
+def _sum_class(h: list[int], half: int, k: int, m: int) -> list[int]:
     """R(S) for S = pool[k] + pool[m]: ascending indices p with S - pool[p] a ratio."""
-    bk, ak = pairs[k]
-    bm, am = pairs[m]
-    sn, sd = bk * am + bm * ak, ak * am
-    return [p for p, (b, a) in enumerate(pairs) if is_ratio_pair(sn * a - b * sd, sd * a)]
+    s = h[k] + h[m]
+    return [p for p, v in enumerate(h) if is_ratio_pair(s - v, half)]
 
 
 def _scan_blocks(
-    ratios: tuple[Fraction, ...], n: int, mode: str, lo: int, hi: int, found: dict
+    ratios: tuple[Fraction, ...],
+    h: list[int],
+    half: int,
+    n: int,
+    mode: str,
+    lo: int,
+    hi: int,
+    found: dict,
 ) -> None:
     """The n >= 4 scan over colex ranks [lo, hi), for every mode.
 
@@ -224,19 +260,19 @@ def _scan_blocks(
     R(S) = {p in pool : S - p is a ratio}.  Each R is computed once per
     call from M integer ratio tests and cached by its index pair; an outer
     block runs i2 and then i1 only over the intersection of its sets, cut
-    to the rank window.  Case 3 (n >= 5) is tested per surviving head on
-    unreduced integer pairs.  A survivor's canonical key is computed in
-    integers (numerators over 2 * prod(a_j), each reduced by one gcd), and
-    ``solve_x`` runs once per key new to this call, for its flags.
+    to the rank window.  Case 3 (n >= 5) is tested per surviving head.
+    Every test and the closed form run on ``h``, the pool's numerators
+    over ``half`` = L / 2, so a survivor's key comes out over L with no
+    division, and ``solve_x`` runs once per key new to this call, for its
+    flags.
 
     Multiset and subset mode keep only heads in their index order: they
     skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
     the intersection to the rank window also cuts i2 to i2 <= i3 and i1 to
     i1 <= i2 (multiset), or to i2 < i3 and i1 < i2 (subset).
     """
-    M = len(ratios)
+    M = len(h)
     step = _ORDER_STEP.get(mode, -M)
-    pairs = _int_pairs(ratios)
     classes: dict[tuple[int, int], list[int]] = {}
     sub_pairs = indices_set(n - 3) if n >= 5 else []
     square = M * M
@@ -253,37 +289,28 @@ def _scan_blocks(
         for k in outer[:-1]:
             cls = classes.get((k, i_n))
             if cls is None:
-                cls = classes[k, i_n] = _sum_class(pairs, k, i_n)
+                cls = classes[k, i_n] = _sum_class(h, half, k, i_n)
             shared = set(cls) if shared is None else shared.intersection(cls)
             if not shared:
                 break
         if not shared:
             continue
         members = sorted(shared)
-        # psi_3..psi_n over the common denominator prod_a of their own
-        prod_a = 1
-        for k in outer:
-            prod_a *= pairs[k][1]
-        outer_nums = [pairs[k][0] * (prod_a // pairs[k][1]) for k in outer]
+        outer_nums = [h[k] for k in outer]
         for i2 in members[: bisect_left(members, outer[0] + 1 - step)]:
             base = (i2 + M * o) * M
             if base >= hi:
                 break
             if base + M <= lo:
                 continue
-            b2, a2 = pairs[i2]
             first = bisect_left(members, lo - base) if base < lo else 0
             last = bisect_left(members, min(hi - base, i2 + 1 - step))
             for i1 in members[first:last]:
-                b1, a1 = pairs[i1]
-                # the head psi_1..psi_n as numerators over den
-                scale = a1 * a2
-                den = scale * prod_a
-                nums = [b1 * a2 * prod_a, b2 * a1 * prod_a] + [v * scale for v in outer_nums]
+                nums = [h[i1], h[i2]] + outer_nums
                 if sub_pairs:  # case 3: psi_n + psi_a + psi_b - psi_1 - psi_2
                     c = nums[-1] - nums[0] - nums[1]
                     if not all(
-                        is_ratio_pair(c + nums[m_i + 1] + nums[n_i + 1], den)
+                        is_ratio_pair(c + nums[m_i + 1] + nums[n_i + 1], half)
                         for m_i, n_i in sub_pairs
                     ):
                         continue
@@ -291,7 +318,7 @@ def _scan_blocks(
                 x.sort()
                 if any(u == v for u, v in zip(x, x[1:])):
                     continue
-                key = _scaled_key(x, 2 * den)
+                key = tuple(x)
                 if key not in found:
                     head = [ratios[i1], ratios[i2]] + [ratios[k] for k in outer]
                     found[key] = _flags_of_x(solve_x(head))
@@ -301,12 +328,14 @@ def process_range(
     n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int
 ) -> Partial:
     """Evaluate every candidate with rank in [lo, hi)."""
-    found: dict[tuple, int] = {}
+    found: dict[tuple[int, ...], int] = {}
     if hi > lo:
+        den = _key_denominator(ratios)
+        h = _half_numerators(ratios, den)
         if n == 3:
-            _scan_triples(ratios, lo, hi, found)
+            _scan_triples(h, lo, hi, found)
         else:
-            _scan_blocks(ratios, n, mode, lo, hi, found)
+            _scan_blocks(ratios, h, den // 2, n, mode, lo, hi, found)
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
@@ -358,22 +387,25 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _sidecar_x(line: bytes, n: int) -> list[Fraction]:
-    """One sidecar line's abscissae: a JSON object whose "x" lists n strings
-    of pairwise-distinct rationals; any other line is corrupt."""
+def _sidecar_key(line: bytes, n: int, den: int) -> tuple[int, ...]:
+    """One sidecar line's key: a JSON object whose "x" lists n strings of
+    pairwise-distinct rationals, each an integer over the key denominator
+    den; any other line is corrupt."""
     try:
         strings = json.loads(line)["x"]
         if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
             xs = [parse_rat(s) for s in strings]
-            if len(xs) == n and len(set(xs)) == n:
-                return xs
+            if len(xs) == n and len(set(xs)) == n and all(den % v.denominator == 0 for v in xs):
+                return tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
     except (ValueError, KeyError, TypeError, ZeroDenominator):
         pass
     raise CheckpointCorrupt(f"bad sidecar line {line!r}")
 
 
-def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, int]]:
-    """Return (next_rank, found) reconstructed from a checkpoint pair."""
+def _load_checkpoint(
+    path: str, expected_echo: dict, den: int
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Return (next_rank, found) reconstructed from a checkpoint pair; keys over den."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -398,7 +430,7 @@ def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, i
         raise CheckpointCorrupt(f"checkpoint next_rank {next_rank!r} is out of range")
     if not _is_int(offset) or offset < 0:
         raise CheckpointCorrupt(f"checkpoint output_offset {offset!r} is not a byte offset")
-    found: dict[tuple, int] = {}
+    found: dict[tuple[int, ...], int] = {}
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar, "rb") as fh:
@@ -413,8 +445,8 @@ def _load_checkpoint(path: str, expected_echo: dict) -> tuple[int, dict[tuple, i
     with open(sidecar, "r+b") as fh:
         fh.truncate(offset)
     for line in blob.splitlines():
-        xs = _sidecar_x(line, expected_echo["n"])
-        found[_key_of(xs)] = _flags_of_x(xs)
+        key = _sidecar_key(line, expected_echo["n"], den)
+        found[key] = _flags_of_x(key)
     return next_rank, found
 
 
@@ -433,23 +465,26 @@ def run_enumeration(
     config: SearchConfig,
     pool: RatioPool,
     stop_after_ranges: int | None = None,
-) -> tuple[dict[tuple, int], bool]:
+) -> tuple[dict[tuple[int, ...], int], bool]:
     """Enumerate the whole rank space, in chunks, optionally in parallel.
 
-    Returns (found, completed).  ``stop_after_ranges`` halts after that many
-    chunk boundaries in this call, which together with a checkpoint path
-    models a kill/resume at a rank boundary.
+    Returns (found, completed); found maps each canonical key (integers
+    over ``_key_denominator(pool.ratios)``) to its flag bits.
+    ``stop_after_ranges`` halts after that many chunk boundaries in this
+    call, which together with a checkpoint path models a kill/resume at a
+    rank boundary.
     """
     _check_pool(config, pool)
     M = len(pool.ratios)
     total = total_ranks(config.enumeration_mode, M, config.n)
     echo = config.echo(M, total)
+    den = _key_denominator(pool.ratios)
 
-    found: dict[tuple, int] = {}
+    found: dict[tuple[int, ...], int] = {}
     start_rank = 0
     ckpt = config.checkpoint_path
     if ckpt and os.path.exists(ckpt):
-        start_rank, found = _load_checkpoint(ckpt, echo)
+        start_rank, found = _load_checkpoint(ckpt, echo, den)
     elif ckpt:
         open(_sidecar_path(ckpt), "w").close()
 
@@ -471,7 +506,7 @@ def run_enumeration(
         if ckpt:
             with open(_sidecar_path(ckpt), "a", encoding="utf-8") as fh:
                 for k in fresh:
-                    xs = [str(v) for v in _x_of_key(k)]
+                    xs = [str(Fraction(v, den)) for v in k]
                     fh.write(json.dumps({"x": xs}) + "\n")
             offset = os.path.getsize(_sidecar_path(ckpt))
             gp = sum(1 for f in found.values() if f & FLAG_GP)
@@ -509,10 +544,12 @@ def search(config: SearchConfig, pool: RatioPool) -> Iterator[Solution]:
     gp_filter="require" only solutions in general position are emitted.
     """
     found, _ = run_enumeration(config, pool)
-    for key in sorted(found, key=_x_of_key):
+    den = _key_denominator(pool.ratios)
+    # keys are ascending integers over one den > 0: tuple order is x order
+    for key in sorted(found):
         if config.gp_filter == GP_REQUIRE and not found[key] & FLAG_GP:
             continue
-        yield solution_from_x(_x_of_key(key))
+        yield solution_from_x(key, den)
 
 
 def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
@@ -520,19 +557,21 @@ def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
     t0 = time.perf_counter()
     found, _ = run_enumeration(config, pool)
     elapsed = time.perf_counter() - t0
+    by_flags = Counter(found.values())
     theta_all = len(found)
-    theta_gp = sum(1 for f in found.values() if f & FLAG_GP)
+    theta_gp = sum(c for f, c in by_flags.items() if f & FLAG_GP)
     exclusions: dict[str, int] = {}
     extra_sets: list[tuple[Rat, ...]] = []
     if config.n == 3:
-        mirror = sum(1 for f in found.values() if not f & FLAG_GP)
-        zero_sum = sum(1 for f in found.values() if f & FLAG_ZERO_SUM)
-        exclusions = {"mirror_zero": mirror, "zero_sum_extra": zero_sum - mirror}
-        extra_sets = sorted(
-            _x_of_key(k)
-            for k, f in found.items()
-            if f & FLAG_ZERO_SUM and f & FLAG_GP
-        )
+        # n = 3 flags: FLAG_GP, FLAG_ZERO_SUM alone (a mirror set), or both
+        extra = FLAG_GP | FLAG_ZERO_SUM
+        exclusions = {"mirror_zero": theta_all - theta_gp, "zero_sum_extra": by_flags[extra]}
+        if by_flags[extra]:
+            den = _key_denominator(pool.ratios)
+            extra_sets = [
+                tuple(Fraction(v, den) for v in k)
+                for k in sorted(k for k, f in found.items() if f == extra)
+            ]
     return CountReport(
         n=config.n,
         gamma_bound=config.gamma_bound,

@@ -14,6 +14,7 @@ a psi vector is positional, so psi_n is the entry for pair (2,3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -279,23 +280,40 @@ class VerifyResult(NamedTuple):
 
 
 def verify_rds(x: Sequence[Rat]) -> VerifyResult:
-    """Independent distance oracle.
+    """Independent distance oracle on rational abscissae.
 
-    For each pair the sum s = b/a (canonical) must satisfy a^2 + b^2 = c^2
-    for an integer c; the distance is then |x_j - x_i| * c / a.  Makes no
-    use of the solver or the completion formulas.
+    Puts x over the lcm of its denominators and runs the one oracle body,
+    ``verify_scaled``, which works in integers with its own square root and
+    makes no use of the solver or the completion formulas.
     """
-    if not check_distinct(x):
+    return verify_scaled(*_over_lcm(x))
+
+
+def _over_lcm(x: Sequence[Rat]) -> tuple[list[int], int]:
+    """x as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
+
+
+def verify_scaled(nums: Sequence[int], den: int) -> VerifyResult:
+    """Independent distance oracle on the abscissae nums[i] / den, den > 0.
+
+    The pair sum s = (X_i + X_j) / den is a ratio exactly when
+    (X_i + X_j)^2 + den^2 = C^2 for an integer C, because scaling b/a by
+    any k != 0 keeps a^2 + b^2 a square or a non-square; the distance is
+    then |x_j - x_i| * sqrt(1 + s^2) = |X_j - X_i| * C / den^2.  Everything
+    but the distances stays in integers, and nothing uses the solver or
+    the completion formulas.
+    """
+    if not check_distinct(nums):
         raise DuplicatePoint("point abscissae must be pairwise distinct")
+    den2 = den * den
     distances: list[Rat | None] = []
     failing: list[tuple[int, int]] = []
-    for i, j in combinations(range(len(x)), 2):
-        s = x[i] + x[j]
-        a = s.denominator
-        b = s.numerator
-        c, exact = isqrt(a * a + b * b)
+    for i, j in combinations(range(len(nums)), 2):
+        c, exact = isqrt((nums[i] + nums[j]) ** 2 + den2)
         if exact:
-            distances.append(abs(x[j] - x[i]) * c / a)
+            distances.append(Fraction(abs(nums[j] - nums[i]) * c, den2))
         else:
             distances.append(None)
             failing.append((i + 1, j + 1))
@@ -313,15 +331,20 @@ class Solution:
     general_position: bool
 
 
-def solution_from_x(x: Sequence[Rat]) -> Solution:
-    """Assemble and oracle-check a Solution from its abscissae."""
-    result = verify_rds(x)
+def solution_from_x(x: Sequence[Rat] | Sequence[int], den: int | None = None) -> Solution:
+    """Assemble and oracle-check a Solution from its abscissae.
+
+    The abscissae are rationals, or with ``den`` integer numerators over
+    den > 0; the oracle and the general-position test run on integers.
+    """
+    nums, den = _over_lcm(x) if den is None else (list(x), den)
+    result = verify_scaled(nums, den)
     if not result.ok:
         raise ValueError(f"not an RDS: irrational distances at pairs {result.failing_pairs}")
     return Solution(
-        n=len(x),
-        x=tuple(x),
-        psi=tuple(psi_from_x(x)),
-        distances=tuple(d for d in result.distances if d is not None),
-        general_position=check_general_position(x),
+        n=len(nums),
+        x=tuple(Fraction(v, den) for v in nums),
+        psi=tuple(Fraction(s, den) for s in psi_from_x(nums)),
+        distances=tuple(result.distances),
+        general_position=check_general_position(nums),
     )

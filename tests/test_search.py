@@ -6,7 +6,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, islice, permutations, product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,9 @@ from rds.search import (
     count_solutions,
     partition_space,
     _flags_of_x,
+    _half_numerators,
+    _key_denominator,
+    _unrank_triple,
     pool_growth_report,
     process_range,
     run_enumeration,
@@ -34,6 +37,7 @@ from rds.solver import (
     check_general_position,
     complete_psi,
     solve_x,
+    solve_x_scaled,
     verify_rds,
 )
 
@@ -137,8 +141,11 @@ def _naive_reference(n, ratios, lo, hi):
     n = 3 ranks strictly increasing heads; n >= 4 ranks all M^n heads
     colexicographically (psi_1 fastest), i.e. reversed ``product`` tuples.
     Yields (rank, pool indices, key, flags) for every head whose solution
-    is kept; a mode keeps those whose indices are in its head order.
+    is kept; a mode keeps those whose indices are in its head order.  The
+    key is the sorted x times L = 2 * lcm(pool denominators), which must be
+    integral.
     """
+    L = 2 * lcm(*(r.denominator for r in ratios))
     if n == 3:
         heads = combinations(range(len(ratios)), 3)
     else:
@@ -149,7 +156,9 @@ def _naive_reference(n, ratios, lo, hi):
             continue
         x = solve_x(head)
         if check_distinct(x):
-            key = tuple((v.numerator, v.denominator) for v in sorted(x))
+            scaled = [v * L for v in sorted(x)]
+            assert all(v.denominator == 1 for v in scaled)
+            key = tuple(v.numerator for v in scaled)
             yield rank, idx, key, _flags_of_x(x)
 
 
@@ -269,6 +278,55 @@ def test_kernels_match_naive_reference(window):
                     want[key] = flags
             got = process_range(n, ratios, mode, lo, hi).found
             assert list(got.items()) == list(want.items()), mode
+
+
+def test_unrank_triple_starts_every_window():
+    for M in range(3, 10):
+        for lo, head in enumerate(combinations(range(M), 3)):
+            assert _unrank_triple(M, lo) == head
+    # the n = 3 kernel's one-rank windows hold exactly the unranked head's set
+    ratios = build_pool(25).ratios
+    L = _key_denominator(ratios)
+    for lo, idx in enumerate(combinations(range(len(ratios)), 3)):
+        x = sorted(solve_x([ratios[i] for i in idx]))
+        assert list(process_range(3, ratios, MODE_ORDERED, lo, lo + 1).found) == [
+            tuple((v * L).numerator for v in x)
+        ]
+
+
+@cache
+def _pool_ratios(gamma):
+    return build_pool(gamma).ratios
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pool_heads_solve_to_integers_over_the_key_denominator(data):
+    # what the integer keys rest on: every abscissa solved from a head of
+    # the pool is an integer over L, and the kernels' numerators over L / 2
+    # are exact, so the closed form on them is x * L itself
+    ratios = _pool_ratios(data.draw(st.integers(5, 301)))
+    n = data.draw(st.integers(3, 6))
+    head = data.draw(st.lists(st.sampled_from(ratios), min_size=n, max_size=n))
+    L = _key_denominator(ratios)
+    scaled = [v * L for v in solve_x(head)]
+    assert all(v.denominator == 1 for v in scaled)
+    h = _half_numerators(tuple(head), L)
+    assert [Fraction(v, L // 2) for v in h] == head
+    assert solve_x_scaled(h) == scaled
+
+
+_sorted_sets = st.lists(
+    st.fractions(-30, 30, max_denominator=50), min_size=3, max_size=5, unique=True
+).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=st.lists(_sorted_sets, min_size=2, max_size=30))
+def test_native_key_order_is_abscissa_order(sets):
+    L = 2 * lcm(*(v.denominator for x in sets for v in x))
+    by_key = {tuple((v * L).numerator for v in x): tuple(x) for x in sets}
+    assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
 
 
 def test_emission_is_sorted_and_verified():
@@ -450,6 +508,7 @@ def test_checkpoint_corrupt_file(tmp_path, edit):
         b'{"x": ["1/2", "1/2", "3/4", "5/4"]}',
         b'{"x": ["1/0", "1/2", "3/4", "5/4"]}',
         b'{"x": ["\xff"]}',
+        b'{"x": ["1/11", "1/2", "3/4", "5/4"]}',
     ],
     ids=[
         "not-object",
@@ -458,6 +517,7 @@ def test_checkpoint_corrupt_file(tmp_path, edit):
         "repeated-point",
         "zero-denominator",
         "not-utf8",
+        "not-over-key-denominator",  # 11 does not divide L = 1680 at gamma 25
     ],
 )
 def test_checkpoint_corrupt_sidecar_line(tmp_path, line):

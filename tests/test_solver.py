@@ -1,15 +1,20 @@
 """Index bookkeeping, closed-form solver, conditions, distance oracle."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rds.errors import BadLength, BadN, DuplicatePoint, MissingFreeParam
 from rds.pythagorean import build_pool, is_pythagorean_ratio
-from rds.rat import parse_rat
+from rds.rat import isqrt, parse_rat
+from rds.records import solution_record
 from rds.solver import (
+    Solution,
     check_distinct,
     check_existence,
     check_general_position,
@@ -21,6 +26,7 @@ from rds.solver import (
     solution_from_x,
     solve_x,
     verify_rds,
+    verify_scaled,
 )
 
 F = Fraction
@@ -206,6 +212,75 @@ def test_solution_from_x():
     assert sol.general_position
     with pytest.raises(ValueError):
         solution_from_x(rats("38/15,-2/5,-2/15"))
+
+
+def _reference_verify(x):
+    """The oracle in Fraction arithmetic: the canonical pair sum b/a must have
+    a^2 + b^2 = c^2, and the distance is then |x_j - x_i| * c / a."""
+    distances, failing = [], []
+    for i, j in combinations(range(len(x)), 2):
+        s = x[i] + x[j]
+        a, b = s.denominator, s.numerator
+        c, exact = isqrt(a * a + b * b)
+        if exact:
+            distances.append(abs(x[j] - x[i]) * c / a)
+        else:
+            distances.append(None)
+            failing.append((i + 1, j + 1))
+    return not failing, distances, failing
+
+
+_POOL_65 = build_pool(65).ratios
+_coordinates = st.fractions(-40, 40, max_denominator=60) | st.integers(-5, 5).map(Fraction)
+
+
+@st.composite
+def _abscissae(draw):
+    """Distinct abscissae: random ones (rarely an RDS), an always-rational
+    pair (r, psi - r), a set solved from pool ratios (always an RDS for 3
+    points, rarely for more), or a published RDS(4); negated half the time."""
+    kind = draw(st.sampled_from(["random", "pair", "solved", "published"]))
+    if kind == "random":
+        x = draw(st.lists(_coordinates, min_size=2, max_size=6, unique=True))
+    elif kind == "pair":
+        psi = draw(st.sampled_from(_POOL_65))
+        r = draw(_coordinates.filter(lambda r: 2 * r != psi))
+        x = [r, psi - r]
+    elif kind == "solved":
+        head = draw(st.lists(st.sampled_from(_POOL_65), min_size=3, max_size=5))
+        x = solve_x(head)
+        if not check_distinct(x):
+            x = sorted(set(x))
+    else:
+        x = rats("-7/4,-7/6,5/12,35/24")
+    x = draw(st.permutations(x))
+    return [-v for v in x] if draw(st.booleans()) else x
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_abscissae(), scale=st.integers(1, 6))
+def test_integer_oracle_matches_fraction_reference(x, scale):
+    ok, distances, failing = _reference_verify(x)
+    got = verify_rds(x)
+    assert (got.ok, got.distances, got.failing_pairs) == (ok, distances, failing)
+    # the same body on numerators over any common denominator, not only the lcm
+    den = scale * lcm(*(v.denominator for v in x))
+    nums = [(v * den).numerator for v in x]
+    assert verify_scaled(nums, den) == got
+    if not ok:
+        with pytest.raises(ValueError):
+            solution_from_x(nums, den)
+        return
+    want = Solution(
+        n=len(x),
+        x=tuple(x),
+        psi=tuple(psi_from_x(x)),
+        distances=tuple(distances),
+        general_position=check_general_position(x),
+    )
+    for sol in (solution_from_x(x), solution_from_x(nums, den)):
+        assert sol == want
+        assert json.dumps(solution_record(sol)) == json.dumps(solution_record(want))
 
 
 # --- core equivalences (randomized) ------------------------------------------
