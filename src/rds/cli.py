@@ -30,7 +30,6 @@ from .pythagorean import (
 from .rat import parse_rat
 from .records import (
     CSV_HEADERS,
-    IoError,
     count_record,
     ratio_record,
     solution_record,
@@ -51,11 +50,11 @@ from .search import (
     total_ranks,
 )
 from .solver import (
+    ExistenceCheck,
     PsiVector,
     check_distinct,
     check_existence,
     check_general_position,
-    psi_from_x,
     solve_x,
     verify_rds,
 )
@@ -113,24 +112,9 @@ def _cmd_ratios(args) -> int:
 
 
 def _solve_record(n: int, head: list[Fraction], free) -> tuple[dict, bool]:
-    if n == 2:
-        x = solve_x(head, free=free)
-        verdict = verify_rds(x)
-        record = {
-            "n": 2,
-            "x": [str(v) for v in x],
-            "psi": [str(v) for v in psi_from_x(x)],
-            "head_valid": all(is_pythagorean_ratio(v) for v in head),
-            "existence_ok": True,
-            "failing_positions": [],
-            "distinct": check_distinct(x),
-            "general_position": check_general_position(x),
-            "verified": verdict.ok,
-            "distances": [str(d) for d in verdict.distances if d is not None],
-        }
-        return record, verdict.ok and record["distinct"]
-    existence = check_existence(head)
-    x = solve_x(head)
+    x = solve_x(head, free=free)
+    # n = 2 has no forced tail, so existence holds vacuously
+    existence = check_existence(head) if n >= 3 else ExistenceCheck(True, [], [])
     distinct = check_distinct(x)
     ok = existence.ok and distinct
     record = {
@@ -147,9 +131,9 @@ def _solve_record(n: int, head: list[Fraction], free) -> tuple[dict, bool]:
     }
     if ok:
         verdict = verify_rds(x)
-        record["verified"] = verdict.ok
-        record["distances"] = [str(d) for d in verdict.distances]
-        ok = verdict.ok
+        ok = record["verified"] = verdict.ok
+        if ok:
+            record["distances"] = [str(d) for d in verdict.distances]
     return record, ok
 
 
@@ -171,8 +155,8 @@ def _cmd_complete(args) -> int:
     head = _parse_rat_list(args.psi)
     if len(head) != args.n:
         raise RdsError(f"--psi needs {args.n} entries for n={args.n}, got {len(head)}")
-    vector = PsiVector.from_head(head)
     existence = check_existence(head)
+    vector = PsiVector(n=args.n, entries=tuple(head + existence.tail))
     record = {
         "n": args.n,
         "psi": [str(v) for v in vector.entries],
@@ -454,14 +438,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         return args.func(args)
-    except IoError as exc:
-        print(f"rds: {exc}", file=sys.stderr)
-        return 2
-    except (RdsError, ValueError) as exc:
-        print(f"rds: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (RdsError, ValueError, OSError) as exc:
+        # I/O errors not already turned into an RdsError (e.g. a checkpoint path)
+        print(f"rds: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # a search checkpoint already holds the last completed chunk
         print("rds: interrupted", file=sys.stderr)

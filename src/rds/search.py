@@ -32,8 +32,9 @@ division.  For n >= 4, most tail entries have the form
 psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
-are cached per chunk and decided by ``pythagorean.is_ratio_pair``, and
-``solve_x`` runs once per key new to the chunk, for the flags.
+are cached per chunk and decided by ``pythagorean.is_ratio_pair``.  A
+key new to the chunk takes its flags from ``solve_x`` on its head, which
+runs the same integer closed form and makes ``Fraction``s only at the end.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
@@ -61,6 +62,8 @@ from .pythagorean import RatioPool, is_ratio_pair, primitive_triplets
 from .rat import Rat, parse_rat
 from .solver import (
     Solution,
+    _over_lcm,
+    check_distinct,
     check_general_position,
     indices_set,
     solution_from_x,
@@ -173,16 +176,6 @@ def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
     return 2 * math.lcm(*(r.denominator for r in ratios))
 
 
-def _half_numerators(ratios: tuple[Fraction, ...], den: int) -> list[int]:
-    """Each ratio times den / 2, exactly: den / 2 is a multiple of its denominator.
-
-    The closed form (``solver.solve_x_scaled``) on these numerators gives
-    the abscissae as integers over den.
-    """
-    half = den // 2
-    return [r.numerator * (half // r.denominator) for r in ratios]
-
-
 def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     """Flag bits of abscissae, or of a key: both tests are sign tests of sums."""
     flags = FLAG_GP if check_general_position(x) else 0
@@ -211,8 +204,9 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
     force distinct x (pairwise x differences are pairwise psi differences),
     so no distinctness check is needed; and with p < q < r the solved x
     come out already sorted ascending, as the key.  The x sum to
-    (p + q + r) / 2, so the zero-sum test is an integer sum.  The window
-    starts at the unranked triple of ``lo`` and runs row (i, j) by row.
+    (p + q + r) / 2, so a zero sum is seen on the head and only those
+    keys go through ``_flags_of_x``.  The window starts at the unranked
+    triple of ``lo`` and runs row (i, j) by row.
     """
     M = len(h)
     i, j, k = _unrank_triple(M, lo)
@@ -221,12 +215,7 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
         hp, hq = h[i], h[j]
         for hr in h[k : k + left]:
             key = tuple(solve_x_scaled((hp, hq, hr)))
-            if hp + hq + hr == 0:
-                # zero abscissa sum; mirror sets additionally contain the point 0
-                mirror = hp == 0 or hq == 0 or hr == 0
-                found[key] = (0 if mirror else FLAG_GP) | FLAG_ZERO_SUM
-            else:
-                found[key] = FLAG_GP
+            found[key] = _flags_of_x(key) if hp + hq + hr == 0 else FLAG_GP
         left -= M - k
         j += 1
         if j == M - 1:
@@ -263,8 +252,7 @@ def _scan_blocks(
     to the rank window.  Case 3 (n >= 5) is tested per surviving head.
     Every test and the closed form run on ``h``, the pool's numerators
     over ``half`` = L / 2, so a survivor's key comes out over L with no
-    division, and ``solve_x`` runs once per key new to this call, for its
-    flags.
+    division; a key new to this call takes its flags from ``solve_x``.
 
     Multiset and subset mode keep only heads in their index order: they
     skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
@@ -315,10 +303,9 @@ def _scan_blocks(
                     ):
                         continue
                 x = solve_x_scaled(nums)
-                x.sort()
-                if any(u == v for u, v in zip(x, x[1:])):
+                if not check_distinct(x):
                     continue
-                key = tuple(x)
+                key = tuple(sorted(x))
                 if key not in found:
                     head = [ratios[i1], ratios[i2]] + [ratios[k] for k in outer]
                     found[key] = _flags_of_x(solve_x(head))
@@ -330,12 +317,12 @@ def process_range(
     """Evaluate every candidate with rank in [lo, hi)."""
     found: dict[tuple[int, ...], int] = {}
     if hi > lo:
-        den = _key_denominator(ratios)
-        h = _half_numerators(ratios, den)
+        # numerators over lcm(pool denominators) = L / 2
+        h, half = _over_lcm(ratios)
         if n == 3:
             _scan_triples(h, lo, hi, found)
         else:
-            _scan_blocks(ratios, h, den // 2, n, mode, lo, hi, found)
+            _scan_blocks(ratios, h, half, n, mode, lo, hi, found)
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
@@ -487,6 +474,7 @@ def run_enumeration(
         start_rank, found = _load_checkpoint(ckpt, echo, den)
     elif ckpt:
         open(_sidecar_path(ckpt), "w").close()
+    gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
 
     if start_rank >= total:
         chunks: list[tuple[int, int]] = []
@@ -500,6 +488,7 @@ def run_enumeration(
         ]
 
     def finish_chunk(partial: Partial) -> None:
+        nonlocal gp_so_far
         fresh = [k for k in partial.found if k not in found] if ckpt else []
         # a key's flags depend only on its x: re-storing a known key changes nothing
         found.update(partial.found)
@@ -509,7 +498,7 @@ def run_enumeration(
                     xs = [str(Fraction(v, den)) for v in k]
                     fh.write(json.dumps({"x": xs}) + "\n")
             offset = os.path.getsize(_sidecar_path(ckpt))
-            gp = sum(1 for f in found.values() if f & FLAG_GP)
+            gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
             _write_checkpoint(
                 ckpt,
                 {
@@ -517,7 +506,7 @@ def run_enumeration(
                     "config": echo,
                     "next_rank": partial.rank_hi,
                     "theta_all_so_far": len(found),
-                    "theta_gp_so_far": gp,
+                    "theta_gp_so_far": gp_so_far,
                     "output_offset": offset,
                 },
             )

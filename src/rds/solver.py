@@ -7,6 +7,9 @@ is a Pythagorean ratio.  Stacking the pair sums in lexicographic pair
 order gives a 0/1 coefficient matrix C of shape (n choose 2) x n; its top
 n x n block is invertible for n >= 3, which yields the closed-form solver
 and forces every tail entry to be a linear combination of the first n.
+That closed form is written once, in integers, as ``solve_x_scaled``:
+``solve_x`` puts a rational head over one denominator and calls it, and
+``head_inverse`` is its action on the unit heads.
 
 Index conventions: pairs are 1-based and ordered (1,2),(1,3),...,(n-1,n);
 a psi vector is positional, so psi_n is the entry for pair (2,3).
@@ -23,8 +26,6 @@ from typing import NamedTuple, Sequence
 from .errors import BadLength, BadN, DuplicatePoint, MissingFreeParam
 from .pythagorean import is_pythagorean_ratio
 from .rat import Rat, isqrt
-
-HALF = Fraction(1, 2)
 
 
 def indices_set(n: int) -> list[tuple[int, int]]:
@@ -51,12 +52,12 @@ class CoeffMatrix:
     def top_block_det(self) -> int:
         if self.n < 3:
             raise BadN("the top block is square only for n >= 3")
-        det = exact_det([[Fraction(v) for v in row] for row in self.top_block()])
+        det = exact_det(self.top_block())
         assert det.denominator == 1
         return det.numerator
 
     def rank(self) -> int:
-        return exact_rank([[Fraction(v) for v in row] for row in self.rows])
+        return exact_rank(self.rows)
 
 
 def coefficient_matrix(n: int) -> CoeffMatrix:
@@ -69,47 +70,44 @@ def coefficient_matrix(n: int) -> CoeffMatrix:
     return CoeffMatrix(n=n, rows=tuple(rows))
 
 
-def exact_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination with partial pivoting."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+def exact_det(rows: Sequence[Sequence[Rat]]) -> Fraction:
+    """Determinant of a square matrix; zero when it is singular."""
+    return _eliminate(rows)[1]
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by exact row reduction."""
-    m = [row[:] for row in rows]
+def exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
+    """Rank of a matrix of any shape."""
+    return _eliminate(rows)[0]
+
+
+def _eliminate(rows: Sequence[Sequence[Rat]]) -> tuple[int, Fraction]:
+    """(rank, det) by exact forward elimination with partial pivoting.
+
+    det is the signed product of the pivots when the matrix is square and
+    of full rank, and zero otherwise.
+    """
+    m = [list(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     rank = 0
+    det = Fraction(1)
     for col in range(n_cols):
         pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        top = m[rank]
+        det *= top[col]
         for r in range(rank + 1, n_rows):
             if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+                factor = Fraction(m[r][col], top[col])
+                m[r] = [a - factor * b for a, b in zip(m[r], top)]
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, det if rank == n_rows == n_cols else Fraction(0)
 
 
 def head_inverse(n: int) -> list[list[Rat]]:
@@ -120,20 +118,9 @@ def head_inverse(n: int) -> list[list[Rat]]:
     """
     if n < 3:
         raise BadN(f"head inverse needs n >= 3, got {n}")
-    rows: list[list[Rat]] = []
-    for i in range(1, n + 1):
-        row = [Fraction(0)] * n
-        if i == 1:
-            row[0], row[1], row[n - 1] = HALF, HALF, -HALF
-        elif i == 2:
-            row[0], row[1], row[n - 1] = HALF, -HALF, HALF
-        elif i == 3:
-            row[0], row[1], row[n - 1] = -HALF, HALF, HALF
-        else:
-            row[0], row[1], row[n - 1] = -HALF, -HALF, HALF
-            row[i - 2] = Fraction(1)
-        rows.append(row)
-    return rows
+    # column j is the closed form on the j-th unit head
+    columns = [solve_x([int(k == j) for k in range(n)]) for j in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 def solve_x(head: Sequence[Rat], free: Rat | None = None) -> list[Rat]:
@@ -141,7 +128,8 @@ def solve_x(head: Sequence[Rat], free: Rat | None = None) -> list[Rat]:
 
     For n = 2 the head is the single ratio psi_12 and ``free`` supplies the
     free coordinate r, giving (r, psi_12 - r).  For n >= 3 the head has n
-    entries and the closed form applies positionally.
+    entries; it is put over the lcm P of its denominators and the closed
+    form ``solve_x_scaled`` gives the abscissae over 2P.
     """
     if len(head) == 1:
         if free is None:
@@ -149,25 +137,17 @@ def solve_x(head: Sequence[Rat], free: Rat | None = None) -> list[Rat]:
         return [free, head[0] - free]
     if len(head) < 3:
         raise BadLength(f"head must have 1 or >= 3 entries, got {len(head)}")
-    p1, p2, pn = head[0], head[1], head[-1]
-    x = [
-        (p1 + p2 - pn) * HALF,
-        (p1 - p2 + pn) * HALF,
-        (-p1 + p2 + pn) * HALF,
-    ]
-    base = (-p1 - p2 + pn) * HALF
-    for i in range(4, len(head) + 1):
-        x.append(base + head[i - 2])
-    return x
+    nums, den = _over_lcm(head)
+    return [Fraction(v, 2 * den) for v in solve_x_scaled(nums)]
 
 
 def solve_x_scaled(nums: Sequence[int]) -> list[int]:
-    """``solve_x`` in integers, for a head over one common denominator.
+    """The closed form x = f(psi), for a head over one common denominator.
 
     With psi_j = nums[j] / P for a single P > 0 and n = len(nums) >= 3,
-    returns the numerators of the abscissae over the denominator 2P, in
-    the order ``solve_x`` gives them; the halves of the closed form go into
-    that denominator, so no step leaves the integers.
+    returns the numerators of the abscissae over the denominator 2P; the
+    halves of the closed form go into that denominator, so no step leaves
+    the integers.
     """
     n1, n2, nn = nums[0], nums[1], nums[-1]
     x = [n1 + n2 - nn, n1 - n2 + nn, -n1 + n2 + nn]
@@ -175,6 +155,12 @@ def solve_x_scaled(nums: Sequence[int]) -> list[int]:
     for v in nums[2:-1]:
         x.append(base + 2 * v)
     return x
+
+
+def _over_lcm(x: Sequence[Rat]) -> tuple[list[int], int]:
+    """x as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def complete_psi(head: Sequence[Rat]) -> list[Rat]:
@@ -287,12 +273,6 @@ def verify_rds(x: Sequence[Rat]) -> VerifyResult:
     makes no use of the solver or the completion formulas.
     """
     return verify_scaled(*_over_lcm(x))
-
-
-def _over_lcm(x: Sequence[Rat]) -> tuple[list[int], int]:
-    """x as integer numerators over the lcm of its denominators."""
-    den = math.lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def verify_scaled(nums: Sequence[int], den: int) -> VerifyResult:

@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_rds_process(*argv):
+    # a fresh interpreter does not see pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "rds", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def payload_lines(out):
     lines = [json.loads(line) for line in out.splitlines() if line.strip()]
     return [l for l in lines if "schema_version" not in l]
@@ -84,6 +93,24 @@ def test_solve_n2_needs_free(capsys):
     assert record["x"] == ["1/2", "5/6"]
     code, _, err = run_cli(capsys, "solve", "--n", "2", "--psi", "4/3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--n", "2", "--psi", "4/3", "--free", "2/3"], "distinct"),  # coincident points
+        (["--n", "3", "--psi", "4/3,4/3,4/3"], "distinct"),
+        (["--n", "3", "--psi", "1,2,5/2"], "verified"),  # 1 is not a ratio
+    ],
+)
+def test_solve_failures_share_one_record(capsys, argv, field):
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert code == 1 and err == ""
+    (record,) = payload_lines(out)
+    assert record[field] is False
+    assert record["verified"] is False
+    assert record["distances"] == []
+    assert record["existence_ok"] is True and record["failing_positions"] == []
 
 
 def test_complete_reports_tail(capsys):
@@ -229,13 +256,16 @@ def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
     assert not ckpt.exists()
 
 
+def test_checkpoint_io_error_is_one_line_exit_2(tmp_path):
+    ckpt = tmp_path / "missing" / "ck"
+    proc = run_rds_process("search", "--n", "3", "--gamma-max", "25", "--checkpoint", str(ckpt))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("rds: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_installed():
-    # a fresh interpreter does not see pytest's pythonpath setting
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rds", "--version"], capture_output=True, text=True, env=env
-    )
+    proc = run_rds_process("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("rds ")
 

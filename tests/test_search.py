@@ -23,7 +23,6 @@ from rds.search import (
     count_solutions,
     partition_space,
     _flags_of_x,
-    _half_numerators,
     _key_denominator,
     _unrank_triple,
     pool_growth_report,
@@ -33,6 +32,7 @@ from rds.search import (
     total_ranks,
 )
 from rds.solver import (
+    _over_lcm,
     check_distinct,
     check_general_position,
     complete_psi,
@@ -303,17 +303,20 @@ def _pool_ratios(gamma):
 @given(data=st.data())
 def test_pool_heads_solve_to_integers_over_the_key_denominator(data):
     # what the integer keys rest on: every abscissa solved from a head of
-    # the pool is an integer over L, and the kernels' numerators over L / 2
-    # are exact, so the closed form on them is x * L itself
+    # the pool is an integer over L, and the kernels' pool numerators over
+    # L / 2 are exact, so the closed form on them is x * L itself
     ratios = _pool_ratios(data.draw(st.integers(5, 301)))
     n = data.draw(st.integers(3, 6))
-    head = data.draw(st.lists(st.sampled_from(ratios), min_size=n, max_size=n))
+    idx = data.draw(st.lists(st.integers(0, len(ratios) - 1), min_size=n, max_size=n))
+    head = [ratios[i] for i in idx]
     L = _key_denominator(ratios)
     scaled = [v * L for v in solve_x(head)]
     assert all(v.denominator == 1 for v in scaled)
-    h = _half_numerators(tuple(head), L)
-    assert [Fraction(v, L // 2) for v in h] == head
-    assert solve_x_scaled(h) == scaled
+    h, half = _over_lcm(ratios)
+    assert 2 * half == L
+    nums = [h[i] for i in idx]
+    assert [Fraction(v, half) for v in nums] == head
+    assert solve_x_scaled(nums) == scaled
 
 
 _sorted_sets = st.lists(
@@ -416,6 +419,24 @@ def test_checkpoint_stop_and_resume(tmp_path):
         # successful completion removes the checkpoint pair
         assert not (tmp_path / "search.ckpt").exists()
         assert not (tmp_path / "search.ckpt.partial").exists()
+
+
+@pytest.mark.parametrize("n, gamma, stop_after", [(3, 65, 5), (4, 25, 40)])
+def test_checkpoint_counts_match_the_sidecar(tmp_path, n, gamma, stop_after):
+    # the running counts after each chunk equal a recount of the sidecar
+    pool = build_pool(gamma)
+    ckpt = tmp_path / "search.ckpt"
+    cfg = SearchConfig(n=n, gamma_bound=gamma, checkpoint_path=str(ckpt))
+    for step in (stop_after, 1):  # a fresh run, then a resumed one
+        _, completed = run_enumeration(cfg, pool, stop_after_ranges=step)
+        assert not completed
+        payload = json.loads(ckpt.read_text())
+        lines = (tmp_path / "search.ckpt.partial").read_text().splitlines()
+        xs = [[Fraction(v) for v in json.loads(line)["x"]] for line in lines]
+        assert payload["theta_all_so_far"] == len(xs) > 0
+        assert payload["theta_gp_so_far"] == sum(map(check_general_position, xs))
+        if n == 3:
+            assert payload["theta_gp_so_far"] < len(xs)  # the window holds mirror sets
 
 
 @pytest.mark.parametrize("stop_after", [1, 3])

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,8 @@ from rds.solver import (
     check_general_position,
     coefficient_matrix,
     complete_psi,
+    exact_det,
+    exact_rank,
     head_inverse,
     indices_set,
     psi_from_x,
@@ -89,7 +91,89 @@ def test_head_inverse_times_top_block_is_identity():
                 assert entry == (1 if i == j else 0)
 
 
+def _leibniz_det(rows):
+    """The permutation-sum determinant, independent of any elimination."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _minor_rank(rows):
+    """The largest k with a non-zero k x k minor."""
+    n_rows, n_cols = len(rows), len(rows[0])
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rs in combinations(range(n_rows), k):
+            for cs in combinations(range(n_cols), k):
+                if _leibniz_det([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+@st.composite
+def _int_matrices(draw):
+    """Small integer matrices up to 4 x 4; singular ones by a zero column or
+    a row that is a multiple of another, and entries mostly in {-1, 0, 1}."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(1, 4))
+    entries = st.integers(-1, 1) | st.integers(-9, 9)
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    edit = draw(st.sampled_from(["none", "zero-column", "multiple-row"]))
+    if edit == "zero-column":
+        c = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[c] = 0
+    elif edit == "multiple-row" and n_rows > 1:
+        a, b = draw(st.permutations(range(n_rows)))[:2]
+        k = draw(st.integers(-3, 3))
+        rows[b] = [k * v for v in rows[a]]
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=_int_matrices())
+def test_elimination_matches_leibniz_and_minors(rows):
+    rank = _minor_rank(rows)
+    assert exact_rank(rows) == rank
+    assert exact_rank([[F(v) for v in row] for row in rows]) == rank
+    if len(rows) == len(rows[0]):
+        det = _leibniz_det(rows)
+        assert exact_det(rows) == det
+        assert exact_det([[F(v, 3) for v in row] for row in rows]) == F(det, 3 ** len(rows))
+        assert (det != 0) == (rank == len(rows))
+
+
 # --- closed-form solver ------------------------------------------------------
+
+
+def _reference_solve_x(head):
+    """The closed form in Fractions, with its halves written out."""
+    half = F(1, 2)
+    p1, p2, pn = head[0], head[1], head[-1]
+    x = [(p1 + p2 - pn) * half, (p1 - p2 + pn) * half, (-p1 + p2 + pn) * half]
+    base = (-p1 - p2 + pn) * half
+    return x + [base + head[i - 2] for i in range(4, len(head) + 1)]
+
+
+_head_entries = (
+    st.just(F(0))
+    | st.integers(-9, 9).map(F)
+    | st.fractions(-20, 20, max_denominator=40)
+    | st.sampled_from(build_pool(145).ratios)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.integers(3, 8).flatmap(lambda n: st.lists(_head_entries, min_size=n, max_size=n)))
+def test_solve_x_matches_fraction_reference(head):
+    x = solve_x(head)
+    assert x == _reference_solve_x(head)
+    assert all(isinstance(v, F) for v in x)
+    inv = head_inverse(len(head))
+    assert [sum(a * p for a, p in zip(row, head)) for row in inv] == x
 
 
 def test_solve_fig1_triple():
