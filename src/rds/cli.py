@@ -29,7 +29,6 @@ from .pythagorean import (
 )
 from .rat import parse_rat
 from .records import (
-    CSV_HEADERS,
     count_record,
     ratio_record,
     solution_record,
@@ -47,7 +46,6 @@ from .search import (
     count_solutions,
     pool_growth_report,
     search,
-    total_ranks,
 )
 from .solver import (
     ExistenceCheck,
@@ -81,12 +79,17 @@ def _parse_rat_list(text: str) -> list[Fraction]:
     return [parse_rat(s) for s in items]
 
 
+def _parse_gamma_list(text: str) -> list[int]:
+    gammas = [int(s) for s in text.split(",") if s.strip()]
+    if not gammas:
+        raise RdsError("--gamma-list is empty")
+    return gammas
+
+
 def _emit(records, args, kind, config=None) -> int:
-    fmt = getattr(args, "format", "jsonl")
-    out = getattr(args, "out", None)
-    if out:
-        return write_records_path(records, out, fmt=fmt, kind=kind, config=config)
-    return write_records(records, sys.stdout, fmt=fmt, kind=kind, config=config)
+    if args.out:
+        return write_records_path(records, args.out, fmt=args.format, kind=kind, config=config)
+    return write_records(records, sys.stdout, fmt=args.format, kind=kind, config=config)
 
 
 def _cmd_triplets(args) -> int:
@@ -203,12 +206,10 @@ def _search_config(args) -> SearchConfig:
 def _cmd_search(args) -> int:
     config = _search_config(args)
     pool = build_pool(args.gamma_max, include_zero=not args.no_zero)
-    echo = config.echo(
-        len(pool.ratios), total_ranks(config.enumeration_mode, len(pool.ratios), config.n)
-    )
     t0 = time.perf_counter()
-    stream = (solution_record(s) for s in search(config, pool))
-    count = _emit(stream, args, kind="solution", config=echo)
+    solutions = search(config, pool)  # the whole run: a failure raises before any output
+    stream = (solution_record(s) for s in solutions)
+    count = _emit(stream, args, kind="solution", config=config.echo(pool))
     print(
         f"search: {count} solutions in {time.perf_counter() - t0:.2f}s "
         f"(n={config.n}, gamma<={config.gamma_bound}, mode={config.enumeration_mode})",
@@ -218,9 +219,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    gammas = [int(s) for s in args.gamma_list.split(",") if s.strip()]
-    if not gammas:
-        raise RdsError("--gamma-list is empty")
+    gammas = _parse_gamma_list(args.gamma_list)
 
     def reports():
         for gamma in gammas:
@@ -301,8 +300,7 @@ def _probe_record(lo, hi, hit) -> dict:
 
 
 def _cmd_growth(args) -> int:
-    gammas = [int(s) for s in args.gamma_list.split(",") if s.strip()]
-    _emit(pool_growth_report(gammas), args, kind="growth")
+    _emit(pool_growth_report(_parse_gamma_list(args.gamma_list)), args, kind="growth")
     return 0
 
 

@@ -33,15 +33,16 @@ psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
 are cached per chunk and decided by ``pythagorean.is_ratio_pair``.  A
-key new to the chunk takes its flags from ``solve_x`` on its head, which
-runs the same integer closed form and makes ``Fraction``s only at the end.
+key new to the chunk takes its flags from ``solve_x`` on its integer head,
+which gives x times L / 2: the flag tests are sign tests of sums.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
 this process or on a process pool.  Each chunk's keys are folded into the
 found map and, with a checkpoint path, committed before the next chunk is
 read; stopping early, by request or by an interrupt, leaves the checkpoint
-at the last committed chunk.
+at the last committed chunk.  ``search`` runs all of this before it
+returns, so a failed run raises before its caller writes a byte.
 """
 
 from __future__ import annotations
@@ -112,16 +113,17 @@ class SearchConfig:
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
 
-    def echo(self, pool_size: int, total_ranks: int) -> dict:
+    def echo(self, pool: RatioPool) -> dict:
         """The semantic parameters recorded in headers and checkpoints."""
+        M = len(pool.ratios)
         return {
             "n": self.n,
             "gamma_bound": self.gamma_bound,
             "include_zero": self.include_zero,
             "enumeration_mode": self.enumeration_mode,
             "gp_filter": self.gp_filter,
-            "pool_size": pool_size,
-            "total_ranks": total_ranks,
+            "pool_size": M,
+            "total_ranks": total_ranks(self.enumeration_mode, M, self.n),
         }
 
 
@@ -224,22 +226,17 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
         k = j + 1
 
 
-def _sum_class(h: list[int], half: int, k: int, m: int) -> list[int]:
-    """R(S) for S = pool[k] + pool[m]: ascending indices p with S - pool[p] a ratio."""
+def _sum_class(h: list[int], half: int, k: int, m: int) -> set[int]:
+    """R(S) for S = pool[k] + pool[m]: the indices p with S - pool[p] a ratio.
+
+    It always holds k and m, because S - pool[k] = pool[m] and
+    S - pool[m] = pool[k] are pool ratios.
+    """
     s = h[k] + h[m]
-    return [p for p, v in enumerate(h) if is_ratio_pair(s - v, half)]
+    return {p for p, v in enumerate(h) if is_ratio_pair(s - v, half)}
 
 
-def _scan_blocks(
-    ratios: tuple[Fraction, ...],
-    h: list[int],
-    half: int,
-    n: int,
-    mode: str,
-    lo: int,
-    hi: int,
-    found: dict,
-) -> None:
+def _scan_blocks(h: list[int], half: int, n: int, mode: str, lo: int, hi: int, found: dict) -> None:
     """The n >= 4 scan over colex ranks [lo, hi), for every mode.
 
     Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
@@ -249,10 +246,13 @@ def _scan_blocks(
     R(S) = {p in pool : S - p is a ratio}.  Each R is computed once per
     call from M integer ratio tests and cached by its index pair; an outer
     block runs i2 and then i1 only over the intersection of its sets, cut
-    to the rank window.  Case 3 (n >= 5) is tested per surviving head.
-    Every test and the closed form run on ``h``, the pool's numerators
-    over ``half`` = L / 2, so a survivor's key comes out over L with no
-    division; a key new to this call takes its flags from ``solve_x``.
+    to the rank window; every R(psi_n + psi_k) holds i_n, so that
+    intersection is never empty.  Case 3 (n >= 5) is tested per surviving
+    head.  The head stays integer: every test and the closed form run on
+    ``h``, the pool's numerators over ``half`` = L / 2, so a survivor's key
+    comes out over L with no division.  A key new to this call takes its
+    flags from ``solve_x`` on that integer head, whose x are the true x
+    times L / 2 > 0; both flag tests are sign tests of sums.
 
     Multiset and subset mode keep only heads in their index order: they
     skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
@@ -261,7 +261,7 @@ def _scan_blocks(
     """
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
-    classes: dict[tuple[int, int], list[int]] = {}
+    classes: dict[tuple[int, int], set[int]] = {}
     sub_pairs = indices_set(n - 3) if n >= 5 else []
     square = M * M
     for o in range(lo // square, (hi - 1) // square + 1):
@@ -273,17 +273,11 @@ def _scan_blocks(
         if any(u >= v + 1 - step for u, v in zip(outer, outer[1:])):
             continue
         i_n = outer[-1]
-        shared = None  # the pool indices in every R(psi_n + psi_k)
         for k in outer[:-1]:
-            cls = classes.get((k, i_n))
-            if cls is None:
-                cls = classes[k, i_n] = _sum_class(h, half, k, i_n)
-            shared = set(cls) if shared is None else shared.intersection(cls)
-            if not shared:
-                break
-        if not shared:
-            continue
-        members = sorted(shared)
+            if (k, i_n) not in classes:
+                classes[k, i_n] = _sum_class(h, half, k, i_n)
+        # the pool indices in every R(psi_n + psi_k), ascending
+        members = sorted(set.intersection(*(classes[k, i_n] for k in outer[:-1])))
         outer_nums = [h[k] for k in outer]
         for i2 in members[: bisect_left(members, outer[0] + 1 - step)]:
             base = (i2 + M * o) * M
@@ -307,8 +301,7 @@ def _scan_blocks(
                     continue
                 key = tuple(sorted(x))
                 if key not in found:
-                    head = [ratios[i1], ratios[i2]] + [ratios[k] for k in outer]
-                    found[key] = _flags_of_x(solve_x(head))
+                    found[key] = _flags_of_x(solve_x(nums))
 
 
 def process_range(
@@ -322,7 +315,7 @@ def process_range(
         if n == 3:
             _scan_triples(h, lo, hi, found)
         else:
-            _scan_blocks(ratios, h, half, n, mode, lo, hi, found)
+            _scan_blocks(h, half, n, mode, lo, hi, found)
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
@@ -382,7 +375,7 @@ def _sidecar_key(line: bytes, n: int, den: int) -> tuple[int, ...]:
         strings = json.loads(line)["x"]
         if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
             xs = [parse_rat(s) for s in strings]
-            if len(xs) == n and len(set(xs)) == n and all(den % v.denominator == 0 for v in xs):
+            if len(xs) == n and check_distinct(xs) and all(den % v.denominator == 0 for v in xs):
                 return tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
     except (ValueError, KeyError, TypeError, ZeroDenominator):
         pass
@@ -462,9 +455,8 @@ def run_enumeration(
     rank boundary.
     """
     _check_pool(config, pool)
-    M = len(pool.ratios)
-    total = total_ranks(config.enumeration_mode, M, config.n)
-    echo = config.echo(M, total)
+    echo = config.echo(pool)
+    total = echo["total_ranks"]
     den = _key_denominator(pool.ratios)
 
     found: dict[tuple[int, ...], int] = {}
@@ -527,18 +519,21 @@ def run_enumeration(
 
 
 def search(config: SearchConfig, pool: RatioPool) -> Iterator[Solution]:
-    """Stream every distinct solution, ascending by canonical key.
+    """Run the search, then stream every distinct solution ascending by key.
 
-    Each emitted solution is re-checked by the distance oracle.  With
-    gp_filter="require" only solutions in general position are emitted.
+    The enumeration, the gp filter and the sort all run at the call, so a
+    failed run (a checkpoint I/O error, ``CheckpointCorrupt``,
+    ``ConfigMismatch``) raises here, before any solution is read.  The
+    returned iterator re-checks each solution with the distance oracle as
+    it is read.  With gp_filter="require" only solutions in general
+    position are kept.
     """
     found, _ = run_enumeration(config, pool)
     den = _key_denominator(pool.ratios)
+    require = config.gp_filter == GP_REQUIRE
     # keys are ascending integers over one den > 0: tuple order is x order
-    for key in sorted(found):
-        if config.gp_filter == GP_REQUIRE and not found[key] & FLAG_GP:
-            continue
-        yield solution_from_x(key, den)
+    keys = sorted(k for k, flags in found.items() if flags & FLAG_GP or not require)
+    return (solution_from_x(key, den) for key in keys)
 
 
 def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:

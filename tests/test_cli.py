@@ -141,6 +141,35 @@ def test_ratios_records(capsys):
     assert four_thirds == {"psi": "4/3", "gamma": 5, "class": "positive/naturally_ordered"}
     code, out, _ = run_cli(capsys, "ratios", "--gamma-max", "25", "--no-zero")
     assert len(payload_lines(out)) == 16
+    # the zero ratio has no hypotenuse: an empty CSV cell
+    code, out, _ = run_cli(capsys, "ratios", "--gamma-max", "5", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "psi,gamma,class\n"
+        "-4/3,5,negative/naturally_ordered\n"
+        "-3/4,5,negative/oppositely_ordered\n"
+        "0,,zero/none\n"
+        "3/4,5,positive/oppositely_ordered\n"
+        "4/3,5,positive/naturally_ordered\n"
+    )
+
+
+def test_search_csv_joins_lists_with_semicolons(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--gamma-max", "5", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,x,psi,distances,general_position\n"
+        "3,-41/24;3/8;23/24,-4/3;-3/4;4/3,125/36;10/3;35/36,True\n"
+        "3,-17/12;1/12;2/3,-4/3;-3/4;3/4,5/2;125/48;35/48,True\n"
+        "3,-4/3;0;4/3,-4/3;0;4/3,20/9;8/3;20/9,False\n"
+        "3,-25/24;-7/24;7/24,-4/3;-3/4;0,5/4;5/3;7/12,True\n"
+        "3,-25/24;-7/24;25/24,-4/3;0;3/4,5/4;25/12;5/3,True\n"
+        "3,-25/24;7/24;25/24,-3/4;0;4/3,5/3;25/12;5/4,True\n"
+        "3,-23/24;-3/8;41/24,-4/3;3/4;4/3,35/36;10/3;125/36,True\n"
+        "3,-3/4;0;3/4,-3/4;0;3/4,15/16;3/2;15/16,False\n"
+        "3,-2/3;-1/12;17/12,-3/4;3/4;4/3,35/48;125/48;5/2,True\n"
+        "3,-7/24;7/24;25/24,0;3/4;4/3,7/12;5/3;5/4,True\n"
+    )
 
 
 def test_count_csv_matches_reference_layout(capsys):
@@ -158,6 +187,12 @@ def test_density_probe_single_and_missing(capsys):
     assert code == 1
     (record,) = payload_lines(out)
     assert record["psi"] is None
+    # lo < 0 < hi: zero is the answer and has no hypotenuse
+    code, out, _ = run_cli(capsys, "density-probe", "--lo", "-1/2", "--hi", "1/3", "--gamma-cap", "25")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        '{"psi": "0", "gamma": null, "class": "zero/none", "lo": "-1/2", "hi": "1/3"}'
+    )
 
 
 def test_density_probe_batch_deterministic(capsys):
@@ -262,6 +297,23 @@ def test_checkpoint_io_error_is_one_line_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("rds: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_corrupt_checkpoint_leaves_out_file_intact(tmp_path, capsys):
+    # the run fails before --out is opened, so the previous output survives
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text("{bad")
+    out = tmp_path / "previous.jsonl"
+    out.write_bytes(b"previous output\n")
+    code, stdout, err = run_cli(
+        capsys, "search", "--n", "3", "--gamma-max", "25",
+        "--checkpoint", str(ckpt), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("rds: ") and err.count("\n") == 1
+    assert out.read_bytes() == b"previous output\n"
 
 
 def test_console_script_installed():
@@ -304,3 +356,15 @@ def test_growth_csv(capsys):
     assert lines[0] == "gamma,primitive_triplets,pool_size,asymptotic_reference"
     assert lines[1].startswith("25,4,17,")
     assert lines[2].startswith("100,16,65,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--n", "3", "--gamma-list", ","), ("growth", "--gamma-list", ",")],
+    ids=["count", "growth"],
+)
+def test_empty_gamma_list_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "rds: --gamma-list is empty\n"

@@ -24,6 +24,7 @@ from rds.search import (
     partition_space,
     _flags_of_x,
     _key_denominator,
+    _sum_class,
     _unrank_triple,
     pool_growth_report,
     process_range,
@@ -294,6 +295,13 @@ def test_unrank_triple_starts_every_window():
         ]
 
 
+def test_sum_class_holds_both_of_its_indices():
+    # why the n >= 4 kernel's intersection of classes is never empty
+    h, half = _over_lcm(build_pool(65).ratios)
+    for k, m in product(range(len(h)), repeat=2):
+        assert {k, m} <= _sum_class(h, half, k, m)
+
+
 @cache
 def _pool_ratios(gamma):
     return build_pool(gamma).ratios
@@ -319,9 +327,12 @@ def test_pool_heads_solve_to_integers_over_the_key_denominator(data):
     assert solve_x_scaled(nums) == scaled
 
 
-_sorted_sets = st.lists(
-    st.fractions(-30, 30, max_denominator=50), min_size=3, max_size=5, unique=True
-).map(sorted)
+# every rational in [-30, 30] with denominator <= 50, drawn by construction:
+# numerator floor(t * d / 50) over d runs through all of [-30d, 30d]
+_bounded_fractions = st.tuples(st.integers(1, 50), st.integers(-1500, 1500)).map(
+    lambda t: Fraction(t[1] * t[0] // 50, t[0])
+)
+_sorted_sets = st.lists(_bounded_fractions, min_size=3, max_size=5, unique=True).map(sorted)
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,17 +498,37 @@ def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
         run_enumeration(cfg, pool)
 
 
+def _stopped_checkpoint(tmp_path):
+    """A config whose checkpoint pair holds the first of the n = 4, Gamma = 25 chunks."""
+    cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(tmp_path / "bad.ckpt"))
+    run_enumeration(cfg, build_pool(25), stop_after_ranges=1)
+    return cfg
+
+
+_NOT_OFFSET = "output_offset .* is not a byte offset"
+_BAD_RANK = "next_rank .* is out of range"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, match",
     [
-        lambda p: "{not json",
-        lambda p: "[1]",
-        lambda p: json.dumps({**p, "output_offset": "x"}),
-        lambda p: json.dumps({**p, "output_offset": -1}),
-        lambda p: json.dumps({**p, "next_rank": "7"}),
-        lambda p: json.dumps({**p, "next_rank": True}),
-        lambda p: json.dumps({**p, "next_rank": -1}),
-        lambda p: json.dumps({**p, "next_rank": p["config"]["total_ranks"] + 1}),
+        (lambda p: "{not json", r"cannot read checkpoint \S*bad\.ckpt: "),
+        (lambda p: "[1]", "is not a JSON object"),
+        (lambda p: json.dumps({**p, "output_offset": "x"}), _NOT_OFFSET),
+        (lambda p: json.dumps({**p, "output_offset": -1}), _NOT_OFFSET),
+        (lambda p: json.dumps({**p, "next_rank": "7"}), _BAD_RANK),
+        (lambda p: json.dumps({**p, "next_rank": True}), _BAD_RANK),
+        (lambda p: json.dumps({**p, "next_rank": -1}), _BAD_RANK),
+        (lambda p: json.dumps({**p, "next_rank": p["config"]["total_ranks"] + 1}), _BAD_RANK),
+        (
+            lambda p: json.dumps({k: v for k, v in p.items() if k != "next_rank"}),
+            "lacks 'next_rank'",
+        ),
+        (lambda p: json.dumps({**p, "schema_version": 99}), "unsupported checkpoint schema 99"),
+        (
+            lambda p: json.dumps({**p, "output_offset": p["output_offset"] + 1}),
+            "shorter than recorded offset",
+        ),
     ],
     ids=[
         "not-json",
@@ -508,16 +539,33 @@ def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
         "rank-bool",
         "rank-negative",
         "rank-past-end",
+        "missing-key",
+        "schema-version",
+        "offset-past-sidecar-end",
     ],
 )
-def test_checkpoint_corrupt_file(tmp_path, edit):
-    pool = build_pool(25)
+def test_checkpoint_corrupt_file(tmp_path, edit, match):
+    cfg = _stopped_checkpoint(tmp_path)
     ckpt = tmp_path / "bad.ckpt"
-    cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(ckpt))
-    run_enumeration(cfg, pool, stop_after_ranges=1)
     ckpt.write_text(edit(json.loads(ckpt.read_text())))
+    with pytest.raises(CheckpointCorrupt, match=match):
+        run_enumeration(cfg, build_pool(25))
+
+
+def test_checkpoint_without_sidecar_is_corrupt(tmp_path):
+    cfg = _stopped_checkpoint(tmp_path)
+    (tmp_path / "bad.ckpt.partial").unlink()
+    with pytest.raises(CheckpointCorrupt, match="cannot read checkpoint sidecar"):
+        run_enumeration(cfg, build_pool(25))
+
+
+def test_search_fails_at_the_call(tmp_path):
+    # the run happens before the first solution is read
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text("{bad")
+    cfg = SearchConfig(n=3, gamma_bound=25, checkpoint_path=str(ckpt))
     with pytest.raises(CheckpointCorrupt):
-        run_enumeration(cfg, pool)
+        search(cfg, build_pool(25))
 
 
 @pytest.mark.parametrize(
