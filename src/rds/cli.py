@@ -75,8 +75,8 @@ def _default_workers() -> int:
 
 
 def _parse_rat_list(text: str) -> list[Fraction]:
-    items = [s for s in text.split(",") if s.strip()]
-    return [parse_rat(s) for s in items]
+    # an empty item is an error (parse_rat rejects it), not a skipped one
+    return [parse_rat(s) for s in text.split(",")]
 
 
 def _parse_gamma_list(text: str) -> list[int]:
@@ -174,6 +174,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_verify(args) -> int:
     x = _parse_rat_list(args.x)
+    if len(x) < 2:
+        raise RdsError(f"--x needs at least 2 points, got {len(x)}")
     verdict = verify_rds(x)
     record = {
         "n": len(x),
@@ -220,20 +222,24 @@ def _cmd_search(args) -> int:
 
 def _cmd_count(args) -> int:
     gammas = _parse_gamma_list(args.gamma_list)
+    # every bound is validated before the first row is written
+    configs = [
+        SearchConfig(
+            n=args.n,
+            gamma_bound=gamma,
+            include_zero=not args.no_zero,
+            enumeration_mode=_MODE_BY_FLAG[args.mode],
+            workers=args.workers,
+        )
+        for gamma in gammas
+    ]
 
     def reports():
-        for gamma in gammas:
-            config = SearchConfig(
-                n=args.n,
-                gamma_bound=gamma,
-                include_zero=not args.no_zero,
-                enumeration_mode=_MODE_BY_FLAG[args.mode],
-                workers=args.workers,
-            )
-            pool = build_pool(gamma, include_zero=not args.no_zero)
+        for config in configs:
+            pool = build_pool(config.gamma_bound, include_zero=config.include_zero)
             report = count_solutions(config, pool)
             print(
-                f"count: gamma={gamma} theta_all={report.theta_all} "
+                f"count: gamma={config.gamma_bound} theta_all={report.theta_all} "
                 f"theta_gp={report.theta_gp} elapsed={report.elapsed:.2f}s",
                 file=sys.stderr,
             )

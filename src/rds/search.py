@@ -28,7 +28,9 @@ tested exactly, without the pool's hypotenuse cap.
 
 The kernels work in integers, on the pool's numerators over L / 2; the
 closed form (``solver.solve_x_scaled``) on those gives a key with no
-division.  For n >= 4, most tail entries have the form
+division.  For n = 3, x is linear in psi_3 once psi_1 and psi_2 are fixed,
+so the kernel builds a row of keys at a time from three shifted copies of
+the pool.  For n >= 4, most tail entries have the form
 psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
@@ -38,15 +40,20 @@ which gives x times L / 2: the flag tests are sign tests of sums.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
-this process or on a process pool.  Each chunk's keys are folded into the
-found map and, with a checkpoint path, committed before the next chunk is
-read; stopping early, by request or by an interrupt, leaves the checkpoint
+this process or on a process pool.  A process keeps one pool for its
+whole life: the first multi-worker run starts it, later runs with the same
+worker count reuse it, and another count or a failure inside the pool
+replaces it.  A chunk sent to the pool is the pool's integer numerators
+and a rank range, so the workers build no ``Fraction``.  Each chunk's
+keys are folded into the found map and, with a checkpoint path, committed
+before the next chunk is read; stopping early, by request or by an interrupt, leaves the checkpoint
 at the last committed chunk.  ``search`` runs all of this before it
 returns, so a failed run raises before its caller writes a byte.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
 import os
@@ -56,6 +63,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
@@ -205,19 +213,30 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
     ``h`` holds the pool's numerators over L / 2.  Distinct head entries
     force distinct x (pairwise x differences are pairwise psi differences),
     so no distinctness check is needed; and with p < q < r the solved x
-    come out already sorted ascending, as the key.  The x sum to
-    (p + q + r) / 2, so a zero sum is seen on the head and only those
-    keys go through ``_flags_of_x``.  The window starts at the unranked
-    triple of ``lo`` and runs row (i, j) by row.
+    come out already sorted ascending, as the key.  The window starts at
+    the unranked triple of ``lo`` and runs row (i, j) by row.  Within a row
+    x is linear in r: x(p, q, r) = x(p, q, 0) + r * (-1, 1, 1), so a row's
+    keys are three shifted copies of its slice of ``h``, stored with
+    FLAG_GP.  The x sum to (p + q + r) / 2, and pool values are distinct,
+    so a row holds at most one zero-sum head, r = -(p + q); only its key
+    goes through ``_flags_of_x``, in place, so the insertion order stays
+    rank order.
     """
     M = len(h)
+    index = {v: t for t, v in enumerate(h)}
+    flags_gp = repeat(FLAG_GP)
     i, j, k = _unrank_triple(M, lo)
     left = min(hi, math.comb(M, 3)) - lo
     while left > 0:
         hp, hq = h[i], h[j]
-        for hr in h[k : k + left]:
-            key = tuple(solve_x_scaled((hp, hq, hr)))
-            found[key] = _flags_of_x(key) if hp + hq + hr == 0 else FLAG_GP
+        a, b, c = solve_x_scaled((hp, hq, 0))
+        row = h[k : k + left]
+        found.update(zip(zip(map(a.__sub__, row), map(b.__add__, row), map(c.__add__, row)), flags_gp))
+        hr = -hp - hq
+        t = index.get(hr)
+        if t is not None and k <= t < k + len(row):
+            key = (a - hr, b + hr, c + hr)
+            found[key] = _flags_of_x(key)
         left -= M - k
         j += 1
         if j == M - 1:
@@ -308,10 +327,16 @@ def process_range(
     n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int
 ) -> Partial:
     """Evaluate every candidate with rank in [lo, hi)."""
+    # numerators over lcm(pool denominators) = L / 2
+    h, half = _over_lcm(ratios)
+    return _scan_range(n, mode, h, half, lo, hi)
+
+
+def _scan_range(n: int, mode: str, h: list[int], half: int, lo: int, hi: int) -> Partial:
+    """``process_range`` on the pool's numerators ``h`` over ``half``; what a
+    pool worker runs, so that a chunk ships integers only."""
     found: dict[tuple[int, ...], int] = {}
     if hi > lo:
-        # numerators over lcm(pool denominators) = L / 2
-        h, half = _over_lcm(ratios)
         if n == 3:
             _scan_triples(h, lo, hi, found)
         else:
@@ -319,33 +344,80 @@ def process_range(
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
-def _range_worker(args: tuple) -> Partial:
-    n, mode, ratio_pairs, lo, hi = args
-    ratios = tuple(Fraction(a, b) for a, b in ratio_pairs)
-    return process_range(n, ratios, mode, lo, hi)
+# (workers, executor) of the process's one pool, started on first use
+_pool: tuple | None = None
+
+
+def _worker_pool(workers: int):
+    """The process's pool of ``workers`` processes, kept between runs.
+
+    It is started on the first multi-worker chunk loop and replaced when a
+    run asks for another worker count; the old pool's threads are joined
+    before the new one forks its workers.  The workers ignore SIGINT.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _discard_pool()
+    if _pool is None:
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Ctrl-C reaches the whole process group: the runner handles it,
+        # and a worker idle between runs must not die with a traceback
+        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        _pool = (workers, ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint))
+    return _pool[1]
+
+
+def _discard_pool() -> None:
+    """Shut the pool down, cancelling its queued chunks; the next run starts afresh."""
+    global _pool
+    if _pool is not None:
+        executor = _pool[1]
+        _pool = None
+        executor.shutdown(cancel_futures=True)
+
+
+# shut the pool down while the modules it uses are still whole
+atexit.register(_discard_pool)
+
+
+def _result(future) -> Partial:
+    # a run that fails inside the pool (a worker died, an interrupt, an
+    # exception in a chunk) may leave it broken or busy: discard it
+    try:
+        return future.result()
+    except BaseException:
+        _discard_pool()
+        raise
 
 
 def _chunk_results(
     config: SearchConfig, ratios: tuple[Fraction, ...], chunks: list[tuple[int, int]]
 ) -> Iterator[Partial]:
-    """Each chunk's Partial, in rank order: in this process, or on a pool.
+    """Each chunk's Partial, in rank order: in this process, or on the pool.
 
-    Closing the generator early, or an interrupt while it waits, cancels
-    the chunks still queued.
+    A chunk sent to the pool is the pool's integer numerators and its rank
+    range.  Each result is yielded and its future dropped at once, so only
+    the chunks not yet read are held.  Closing the generator early cancels
+    this run's queued chunks and keeps the pool; a failure while waiting
+    discards it.
     """
     if config.workers == 1 or len(chunks) <= 1:
         for lo, hi in chunks:
             yield process_range(config.n, ratios, config.enumeration_mode, lo, hi)
         return
-    from concurrent.futures import ProcessPoolExecutor
-
-    ratio_pairs = tuple((r.numerator, r.denominator) for r in ratios)
-    args = [(config.n, config.enumeration_mode, ratio_pairs, lo, hi) for lo, hi in chunks]
-    pool_exec = ProcessPoolExecutor(max_workers=config.workers)
+    h, half = _over_lcm(ratios)
+    executor = _worker_pool(config.workers)
+    n, mode = config.n, config.enumeration_mode
+    futures = [executor.submit(_scan_range, n, mode, h, half, lo, hi) for lo, hi in chunks]
+    futures.reverse()  # popped from the end, in submission order
     try:
-        yield from pool_exec.map(_range_worker, args)
+        while futures:
+            yield _result(futures.pop())
     finally:
-        pool_exec.shutdown(cancel_futures=True)
+        for future in futures:
+            future.cancel()
 
 
 # --- checkpointing ---------------------------------------------------------

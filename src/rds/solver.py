@@ -242,16 +242,16 @@ def check_general_position(x: Sequence[Rat]) -> bool:
     abscissae sum to zero (the circle-parabola intersection quartic has no
     cubic term); three points on a parabola are never collinear.  For
     n = 3 the convention adopted here excludes the mirror sets {a, -a, 0}.
+    The sums are taken on x's numerators over one common denominator,
+    which does not change whether a sum is zero.
     """
     n = len(x)
     if n < 3:
         return True
+    nums, _ = _over_lcm(x)
     if n == 3:
-        return not (any(v == 0 for v in x) and sum(x) == 0)
-    for quad in combinations(x, 4):
-        if sum(quad) == 0:
-            return False
-    return True
+        return not (0 in nums and sum(nums) == 0)
+    return 0 not in map(sum, combinations(nums, 4))
 
 
 def psi_from_x(x: Sequence[Rat]) -> list[Rat]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,13 @@ def test_verify_duplicate_points_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--x", "1/2,1/2")
     assert code == 2
     assert "distinct" in err
+
+
+@pytest.mark.parametrize("x", [",", "1/2", "1/2,,3"], ids=["none", "one", "empty-item"])
+def test_verify_needs_two_points(capsys, x):
+    code, out, err = run_cli(capsys, "verify", "--x", x)
+    assert (code, out) == (2, "")
+    assert err.startswith("rds: ") and err.count("\n") == 1
 
 
 def test_nu_prints_value_and_triplet(capsys):
@@ -236,6 +244,69 @@ def test_search_out_deterministic_across_workers(tmp_path):
     assert envelope["config"]["gamma_bound"] == 25
     assert "workers" not in envelope["config"]
     assert len(records) == 156
+
+
+@pytest.mark.parametrize("mode", ["ordered", "multiset", "subset"])
+@pytest.mark.parametrize("n, gammas", [("3", "25,65,109"), ("4", "25,41")], ids=["n3", "n4"])
+def test_count_bytes_do_not_depend_on_workers(capsys, n, gammas, mode):
+    argv = ["count", "--n", n, "--gamma-list", gammas, "--mode", mode, "--breakdown", "--format", "jsonl"]
+    one = run_cli(capsys, *argv, "--workers", "1")
+    two = run_cli(capsys, *argv, "--workers", "2")
+    assert one[0] == two[0] == 0
+    assert one[1] == two[1] and len(one[1].splitlines()) == 1 + len(gammas.split(","))
+
+
+def test_count_checks_every_bound_before_writing(tmp_path, capsys):
+    argv = ["count", "--n", "3", "--gamma-list", "25,0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("rds: ") and err.count("\n") == 1
+    previous = tmp_path / "previous.csv"
+    previous.write_bytes(b"previous output\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(previous))
+    assert (code, out) == (2, "")
+    assert err.startswith("rds: ") and err.count("\n") == 1
+    assert previous.read_bytes() == b"previous output\n"
+
+
+def _rds_session(*argv):
+    # its own process group, so that the group is the child and its workers
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "rds", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+
+
+def _communicate(proc):
+    # the pipes close only when every process holding them has exited; on a
+    # timeout, kill the whole group, which may outlive its leader
+    try:
+        return proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+
+
+def test_count_on_workers_leaves_no_process_behind():
+    proc = _rds_session("count", "--n", "3", "--gamma-list", "25,29,41", "--workers", "2")
+    out, _ = _communicate(proc)
+    assert proc.returncode == 0
+    assert out == "gamma,theta_gp,theta_all\n25,672,680\n29,1320,1330\n41,3640,3654\n"
+
+
+def test_ctrl_c_on_workers_exits_130():
+    proc = _rds_session("count", "--n", "4", "--gamma-list", "25,145", "--workers", "2")
+    try:
+        # the pool is up and the second bound, several seconds of work, starts
+        assert proc.stderr.readline().startswith("count: gamma=25 ")
+        os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
+    finally:
+        _, err = _communicate(proc)
+    assert proc.returncode == 130
+    assert err == "rds: interrupted\n"
 
 
 def test_search_checkpoint_resume_via_cli(tmp_path, capsys):

@@ -11,9 +11,12 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rds.search as rds_search
 from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
 from rds.pythagorean import build_pool, is_pythagorean_ratio
 from rds.search import (
+    FLAG_GP,
+    FLAG_ZERO_SUM,
     MODE_MULTISET,
     MODE_ORDERED,
     MODE_SUBSET,
@@ -22,6 +25,7 @@ from rds.search import (
     SearchConfig,
     count_solutions,
     partition_space,
+    _discard_pool,
     _flags_of_x,
     _key_denominator,
     _sum_class,
@@ -295,6 +299,52 @@ def test_unrank_triple_starts_every_window():
         ]
 
 
+def _per_triple_items(ratios):
+    """The n = 3 scan written one triple at a time: (key, flags) of every
+    strictly increasing head, in rank order."""
+    h, _ = _over_lcm(ratios)
+    items = []
+    for idx in combinations(range(len(h)), 3):
+        key = tuple(solve_x_scaled([h[i] for i in idx]))
+        items.append((key, _flags_of_x(key)))
+    return items
+
+
+def _zero_sum_ranks(ratios):
+    return [r for r, idx in enumerate(combinations(range(len(ratios)), 3)) if sum(ratios[i] for i in idx) == 0]
+
+
+@pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
+@pytest.mark.parametrize("gamma", [5, 13, 25])
+def test_row_kernel_matches_the_per_triple_loop(gamma, include_zero):
+    # every window start, ending one or two heads later, mid-row, just past
+    # a row, or at the end: the row kernel's keys, flags and insertion order
+    # equal the per-triple loop's
+    ratios = build_pool(gamma, include_zero=include_zero).ratios
+    items = _per_triple_items(ratios)
+    M, total = len(ratios), len(items)
+    zero_sum = _zero_sum_ranks(ratios)
+    # with the zero ratio the pool holds mirror sets {-a, 0, a}
+    assert bool(zero_sum) == include_zero
+    windows = {(lo, min(hi, total)) for lo in range(total) for hi in (lo + 1, lo + 2, lo + M // 2, lo + M + 1, total)}
+    for r in zero_sum:  # the zero-sum head first, last, or just outside the window
+        windows |= {(max(0, r - 3), r), (max(0, r - 3), r + 1), (r, r + 3), (r + 1, min(total, r + 4))}
+    for lo, hi in sorted(windows):
+        assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == items[lo:hi], (lo, hi)
+
+
+def test_row_kernel_flags_zero_sum_sets_without_zero():
+    # Gamma = 109 without the zero ratio: the zero-sum sets that are in
+    # general position, each at the edge of a window
+    ratios = build_pool(109, include_zero=False).ratios
+    items = _per_triple_items(ratios)
+    zero_sum = _zero_sum_ranks(ratios)
+    assert [items[r][1] for r in zero_sum] == [FLAG_GP | FLAG_ZERO_SUM] * 4
+    for r in zero_sum:
+        for lo, hi in [(r, r + 1), (r - 5, r + 1), (r, r + 70), (r + 1, r + 2)]:
+            assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == items[lo:hi]
+
+
 def test_sum_class_holds_both_of_its_indices():
     # why the n >= 4 kernel's intersection of classes is never empty
     h, half = _over_lcm(build_pool(65).ratios)
@@ -395,6 +445,63 @@ def test_deterministic_across_worker_counts():
         streams.append(list(search(cfg, pool)))
     assert streams[0] == streams[1] == streams[2]
     assert len(streams[0]) == 156
+
+
+@pytest.fixture
+def fresh_pool():
+    """No worker pool before the test, and none left after it."""
+    _discard_pool()
+    yield
+    _discard_pool()
+
+
+def test_one_process_pool_serves_every_bound(fresh_pool, monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    for gamma in (25, 29, 41):
+        count_solutions(SearchConfig(n=3, gamma_bound=gamma, workers=2), build_pool(gamma))
+    assert len(made) == 1
+    # another worker count replaces the pool
+    report = count_solutions(SearchConfig(n=3, gamma_bound=25, workers=3), build_pool(25))
+    assert report.theta_all == 680
+    assert len(made) == 2 and rds_search._pool[1] is made[1]
+
+
+def test_pool_is_kept_after_an_early_stop(fresh_pool):
+    pool = build_pool(25)
+    baseline = count_solutions(SearchConfig(n=4, gamma_bound=25), pool)
+    cfg = SearchConfig(n=4, gamma_bound=25, workers=2)
+    _, completed = run_enumeration(cfg, pool, stop_after_ranges=2)
+    assert not completed
+    executor = rds_search._pool[1]
+    # the stopped run's queued chunks are cancelled, not read by the next run
+    report = count_solutions(cfg, pool)
+    assert rds_search._pool[1] is executor
+    assert (report.theta_all, report.theta_gp, report.exclusions) == (
+        baseline.theta_all, baseline.theta_gp, baseline.exclusions,
+    )
+
+
+def test_a_failed_chunk_discards_the_pool(fresh_pool, monkeypatch):
+    def failing_scan(*args):
+        raise ValueError("chunk failed")
+
+    # the pool's workers are forked after the patch, so they run it
+    monkeypatch.setattr(rds_search, "_scan_triples", failing_scan)
+    cfg = SearchConfig(n=3, gamma_bound=25, workers=2)
+    with pytest.raises(ValueError, match="chunk failed"):
+        count_solutions(cfg, build_pool(25))
+    assert rds_search._pool is None
+    monkeypatch.undo()
+    assert count_solutions(cfg, build_pool(25)).theta_all == 680
 
 
 def test_pool_mismatch_rejected():

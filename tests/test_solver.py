@@ -245,6 +245,37 @@ def test_general_position():
     assert check_general_position(rats("1/2,2"))
 
 
+def _reference_general_position(x):
+    """The general-position rule written on Fraction sums."""
+    if len(x) == 3:
+        return not (0 in x and sum(x) == 0)
+    return all(sum(quad) != 0 for quad in combinations(x, 4))
+
+
+_gp_values = st.fractions(-20, 20, max_denominator=40) | st.integers(-9, 9)
+
+
+@st.composite
+def _gp_sets(draw):
+    """3 to 6 rationals of mixed denominators or plain ints; two times in three
+    the first entries are made a zero-sum quadruple (a zero-sum triple for
+    n = 3) or a mirror set {a, -a, 0}."""
+    x = draw(st.lists(_gp_values, min_size=3, max_size=6))
+    kind = draw(st.sampled_from(["random", "zero_sum", "mirror"]))
+    if kind == "zero_sum":
+        k = min(len(x), 4)
+        x[k - 1] = -sum(x[: k - 1])
+    elif kind == "mirror":
+        x[:3] = [x[0], -x[0], 0]
+    return draw(st.permutations(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_gp_sets())
+def test_general_position_matches_fraction_sums(x):
+    assert check_general_position(x) == _reference_general_position(x)
+
+
 def test_psi_from_x():
     assert psi_from_x(rats("-4/15,8/5,4/5")) == rats("4/3,8/15,12/5")
     assert psi_from_x([F(0), F(1)]) == [F(1)]
