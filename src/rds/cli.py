@@ -31,7 +31,6 @@ from .rat import parse_rat
 from .records import (
     count_record,
     ratio_record,
-    solution_record,
     triplet_record,
     write_records,
     write_records_path,
@@ -80,10 +79,12 @@ def _parse_rat_list(text: str) -> list[Fraction]:
 
 
 def _parse_gamma_list(text: str) -> list[int]:
-    gammas = [int(s) for s in text.split(",") if s.strip()]
-    if not gammas:
+    items = text.split(",")
+    if not any(s.strip() for s in items):
         raise RdsError("--gamma-list is empty")
-    return gammas
+    if not all(s.strip() for s in items):
+        raise RdsError(f"--gamma-list has an empty item: {text!r}")
+    return [int(s) for s in items]
 
 
 def _emit(records, args, kind, config=None) -> int:
@@ -210,8 +211,7 @@ def _cmd_search(args) -> int:
     pool = build_pool(args.gamma_max, include_zero=not args.no_zero)
     t0 = time.perf_counter()
     solutions = search(config, pool)  # the whole run: a failure raises before any output
-    stream = (solution_record(s) for s in solutions)
-    count = _emit(stream, args, kind="solution", config=config.echo(pool))
+    count = _emit(solutions, args, kind="solution", config=config.echo(pool))
     print(
         f"search: {count} solutions in {time.perf_counter() - t0:.2f}s "
         f"(n={config.n}, gamma<={config.gamma_bound}, mode={config.enumeration_mode})",

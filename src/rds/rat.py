@@ -52,6 +52,18 @@ def format_rat(q: Rat) -> str:
     return str(q)
 
 
+def format_over(num: int, den: int) -> str:
+    """The canonical text of num/den for integers with den > 0.
+
+    Exactly ``str(Fraction(num, den))``: reduced by the gcd, the sign on
+    the numerator, no ``/1`` (``"3"``, ``"0"``); no Fraction is built.
+    """
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
+
+
 def isqrt(n: int) -> tuple[int, bool]:
     """Return (floor(sqrt(n)), n is a perfect square).
 

@@ -14,14 +14,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import IO, Iterable
 
 from . import __version__
 from .errors import RdsError
 from .pythagorean import Triplet, classify_ratio, min_hypotenuse
-from .rat import Rat, parse_rat
+from .rat import Rat, format_over, parse_rat
 from .search import CountReport
-from .solver import Solution
+from .solver import Solution, distance_nums, solution_from_x
 
 SCHEMA_VERSION = 1
 PRODUCED_BY = f"rds {__version__}"
@@ -68,14 +69,41 @@ def ratio_record(q: Rat) -> dict:
     return {"psi": str(q), "gamma": gamma, "class": classify_ratio(q).label}
 
 
+def _solution_texts(s: Solution) -> tuple[list[str], list[str], list[str]]:
+    """The x, psi and distance strings of a solution, from its integers:
+    abscissae and pair sums over den, distances over den^2."""
+    nums, den = s.nums, s.den
+    return (
+        [format_over(v, den) for v in nums],
+        [format_over(a + b, den) for a, b in combinations(nums, 2)],
+        [format_over(d, den * den) for d in distance_nums(nums, s.roots)],
+    )
+
+
 def solution_record(s: Solution) -> dict:
+    x, psi, distances = _solution_texts(s)
     return {
         "n": s.n,
-        "x": [str(v) for v in s.x],
-        "psi": [str(v) for v in s.psi],
-        "distances": [str(v) for v in s.distances],
+        "x": x,
+        "psi": psi,
+        "distances": distances,
         "general_position": s.general_position,
     }
+
+
+def _json_strings(texts: list[str]) -> str:
+    # rational texts hold only digits, "-" and "/": nothing to escape
+    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
+
+
+def solution_line(s: Solution) -> str:
+    """``json.dumps(solution_record(s))``, rendered without the dict."""
+    x, psi, distances = _solution_texts(s)
+    gp = "true" if s.general_position else "false"
+    return (
+        f'{{"n": {s.n}, "x": {_json_strings(x)}, "psi": {_json_strings(psi)}, '
+        f'"distances": {_json_strings(distances)}, "general_position": {gp}}}'
+    )
 
 
 def count_record(report: CountReport, breakdown: bool = False) -> dict:
@@ -96,13 +124,20 @@ def count_record(report: CountReport, breakdown: bool = False) -> dict:
 
 
 def parse_solution_record(record: dict) -> Solution:
-    return Solution(
-        n=record["n"],
-        x=tuple(parse_rat(s) for s in record["x"]),
-        psi=tuple(parse_rat(s) for s in record["psi"]),
-        distances=tuple(parse_rat(s) for s in record["distances"]),
-        general_position=record["general_position"],
+    """Rebuild a solution from its x through the oracle; a record whose n,
+    psi, distances or general_position disagree with its x is a ValueError."""
+    s = solution_from_x([parse_rat(v) for v in record["x"]])
+    fields = ("n", "psi", "distances", "general_position")
+    given = (
+        record["n"],
+        tuple(parse_rat(v) for v in record["psi"]),
+        tuple(parse_rat(v) for v in record["distances"]),
+        record["general_position"],
     )
+    for name, want, got in zip(fields, (s.n, s.psi, s.distances, s.general_position), given):
+        if got != want:
+            raise ValueError(f"solution record {name} {got!r} does not match its x")
+    return s
 
 
 def _csv_cell(value) -> str:
@@ -114,19 +149,23 @@ def _csv_cell(value) -> str:
 
 
 def write_records(
-    records: Iterable[dict],
+    records: Iterable[dict | Solution],
     out: IO[str],
     fmt: str = "jsonl",
     kind: str = "solution",
     config: dict | None = None,
 ) -> int:
-    """Write records line by line, flushing each; returns records written."""
+    """Write records line by line, flushing each; returns records written.
+
+    A record is a dict, or a ``Solution``, which is rendered from its
+    integers (see ``solution_line``).
+    """
     count = 0
     if fmt == "jsonl":
         out.write(json.dumps(RecordEnvelope(kind=kind, config=config).as_dict()) + "\n")
         out.flush()
         for record in records:
-            out.write(json.dumps(record) + "\n")
+            out.write((solution_line(record) if isinstance(record, Solution) else json.dumps(record)) + "\n")
             out.flush()
             count += 1
     elif fmt == "csv":
@@ -135,6 +174,8 @@ def write_records(
         writer.writerow(header)
         out.flush()
         for record in records:
+            if isinstance(record, Solution):
+                record = solution_record(record)
             writer.writerow([_csv_cell(record.get(col)) for col in header])
             out.flush()
             count += 1
@@ -144,7 +185,7 @@ def write_records(
 
 
 def write_records_path(
-    records: Iterable[dict],
+    records: Iterable[dict | Solution],
     path: str,
     fmt: str = "jsonl",
     kind: str = "solution",

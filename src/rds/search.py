@@ -35,8 +35,11 @@ psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
 are cached per chunk and decided by ``pythagorean.is_ratio_pair``.  A
-key new to the chunk takes its flags from ``solve_x`` on its integer head,
-which gives x times L / 2: the flag tests are sign tests of sums.
+key takes its flags from ``solve_x`` on its integer head, which gives x
+times L / 2 (the flag tests are sign tests of sums), only when it is new:
+on one worker new to the run, since the serial chunk loop hands the run's
+found map to the kernel; on the pool new to the chunk, since a worker
+cannot see that map.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
@@ -46,9 +49,13 @@ worker count reuse it, and another count or a failure inside the pool
 replaces it.  A chunk sent to the pool is the pool's integer numerators
 and a rank range, so the workers build no ``Fraction``.  Each chunk's
 keys are folded into the found map and, with a checkpoint path, committed
-before the next chunk is read; stopping early, by request or by an interrupt, leaves the checkpoint
-at the last committed chunk.  ``search`` runs all of this before it
-returns, so a failed run raises before its caller writes a byte.
+before the next chunk is read; stopping early, by request or by an
+interrupt, leaves the checkpoint at the last committed chunk.  A worker
+watches the process that started the pool and exits when it is gone, even
+if that process died without shutting the pool down.  ``search`` runs all
+of this before it returns, so a failed run raises before its caller
+writes a byte; the solutions it yields are integer-backed, and the
+records are rendered from those integers.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
 from .pythagorean import RatioPool, is_ratio_pair, primitive_triplets
-from .rat import Rat, parse_rat
+from .rat import Rat, format_over, parse_rat
 from .solver import (
     Solution,
     _over_lcm,
@@ -255,7 +262,9 @@ def _sum_class(h: list[int], half: int, k: int, m: int) -> set[int]:
     return {p for p, v in enumerate(h) if is_ratio_pair(s - v, half)}
 
 
-def _scan_blocks(h: list[int], half: int, n: int, mode: str, lo: int, hi: int, found: dict) -> None:
+def _scan_blocks(
+    h: list[int], half: int, n: int, mode: str, lo: int, hi: int, found: dict, known
+) -> None:
     """The n >= 4 scan over colex ranks [lo, hi), for every mode.
 
     Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
@@ -269,9 +278,10 @@ def _scan_blocks(h: list[int], half: int, n: int, mode: str, lo: int, hi: int, f
     intersection is never empty.  Case 3 (n >= 5) is tested per surviving
     head.  The head stays integer: every test and the closed form run on
     ``h``, the pool's numerators over ``half`` = L / 2, so a survivor's key
-    comes out over L with no division.  A key new to this call takes its
-    flags from ``solve_x`` on that integer head, whose x are the true x
-    times L / 2 > 0; both flag tests are sign tests of sums.
+    comes out over L with no division.  A key in neither ``found`` nor
+    ``known`` (the keys the run already holds) takes its flags from
+    ``solve_x`` on that integer head, whose x are the true x times
+    L / 2 > 0; both flag tests are sign tests of sums.
 
     Multiset and subset mode keep only heads in their index order: they
     skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
@@ -319,20 +329,27 @@ def _scan_blocks(h: list[int], half: int, n: int, mode: str, lo: int, hi: int, f
                 if not check_distinct(x):
                     continue
                 key = tuple(sorted(x))
-                if key not in found:
+                if key not in found and key not in known:
                     found[key] = _flags_of_x(solve_x(nums))
 
 
 def process_range(
-    n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int
+    n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int, known=()
 ) -> Partial:
-    """Evaluate every candidate with rank in [lo, hi)."""
+    """Evaluate every candidate with rank in [lo, hi).
+
+    ``known`` holds keys found before this range; for n >= 4 they are left
+    out of the result and not solved again.  (An n = 3 set has one rank,
+    so a range never meets a key found in another.)
+    """
     # numerators over lcm(pool denominators) = L / 2
     h, half = _over_lcm(ratios)
-    return _scan_range(n, mode, h, half, lo, hi)
+    return _scan_range(n, mode, h, half, lo, hi, known)
 
 
-def _scan_range(n: int, mode: str, h: list[int], half: int, lo: int, hi: int) -> Partial:
+def _scan_range(
+    n: int, mode: str, h: list[int], half: int, lo: int, hi: int, known=()
+) -> Partial:
     """``process_range`` on the pool's numerators ``h`` over ``half``; what a
     pool worker runs, so that a chunk ships integers only."""
     found: dict[tuple[int, ...], int] = {}
@@ -340,11 +357,11 @@ def _scan_range(n: int, mode: str, h: list[int], half: int, lo: int, hi: int) ->
         if n == 3:
             _scan_triples(h, lo, hi, found)
         else:
-            _scan_blocks(h, half, n, mode, lo, hi, found)
+            _scan_blocks(h, half, n, mode, lo, hi, found, known)
     return Partial(rank_lo=lo, rank_hi=hi, found=found)
 
 
-# (workers, executor) of the process's one pool, started on first use
+# (workers, executor, pipe) of the process's one pool, started on first use
 _pool: tuple | None = None
 
 
@@ -353,29 +370,61 @@ def _worker_pool(workers: int):
 
     It is started on the first multi-worker chunk loop and replaced when a
     run asks for another worker count; the old pool's threads are joined
-    before the new one forks its workers.  The workers ignore SIGINT.
+    before the new one forks its workers.  The workers are forked with a
+    pipe whose write end only this process keeps open (see
+    ``_worker_init``).
     """
     global _pool
     if _pool is not None and _pool[0] != workers:
         _discard_pool()
     if _pool is None:
-        import signal
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Ctrl-C reaches the whole process group: the runner handles it,
-        # and a worker idle between runs must not die with a traceback
-        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
-        _pool = (workers, ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint))
+        pipe = os.pipe()
+        executor = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init,
+            initargs=pipe,
+        )
+        _pool = (workers, executor, pipe)
     return _pool[1]
+
+
+def _worker_init(read_fd: int, write_fd: int) -> None:
+    """A pool worker's set-up: ignore SIGINT and watch the parent.
+
+    Ctrl-C reaches the whole process group: the runner handles it, and a
+    worker idle between runs must not die with a traceback.  A worker
+    closes its inherited write end of the pipe; a daemon thread then reads
+    the read end, which gives end-of-file only once the parent's write end
+    is closed too, that is when the parent is gone (SIGKILL, an OOM kill,
+    ``os._exit``) without having shut the pool down.  The worker then exits.
+    """
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(write_fd)
+    threading.Thread(target=_exit_at_eof, args=(read_fd,), daemon=True).start()
+
+
+def _exit_at_eof(fd: int) -> None:
+    while os.read(fd, 1):  # nothing is ever written
+        pass
+    os._exit(1)
 
 
 def _discard_pool() -> None:
     """Shut the pool down, cancelling its queued chunks; the next run starts afresh."""
     global _pool
     if _pool is not None:
-        executor = _pool[1]
+        _, executor, pipe = _pool
         _pool = None
         executor.shutdown(cancel_futures=True)
+        for fd in pipe:
+            os.close(fd)
 
 
 # shut the pool down while the modules it uses are still whole
@@ -393,19 +442,24 @@ def _result(future) -> Partial:
 
 
 def _chunk_results(
-    config: SearchConfig, ratios: tuple[Fraction, ...], chunks: list[tuple[int, int]]
+    config: SearchConfig,
+    ratios: tuple[Fraction, ...],
+    chunks: list[tuple[int, int]],
+    found: dict[tuple[int, ...], int],
 ) -> Iterator[Partial]:
     """Each chunk's Partial, in rank order: in this process, or on the pool.
 
-    A chunk sent to the pool is the pool's integer numerators and its rank
-    range.  Each result is yielded and its future dropped at once, so only
-    the chunks not yet read are held.  Closing the generator early cancels
-    this run's queued chunks and keeps the pool; a failure while waiting
+    A chunk run in this process sees ``found``, the run's map as the caller
+    has folded it so far, and returns only keys new to the run.  A chunk
+    sent to the pool is the pool's integer numerators and its rank range.
+    Each result is yielded and its future dropped at once, so only the
+    chunks not yet read are held.  Closing the generator early cancels this
+    run's queued chunks and keeps the pool; a failure while waiting
     discards it.
     """
     if config.workers == 1 or len(chunks) <= 1:
         for lo, hi in chunks:
-            yield process_range(config.n, ratios, config.enumeration_mode, lo, hi)
+            yield process_range(config.n, ratios, config.enumeration_mode, lo, hi, known=found)
         return
     h, half = _over_lcm(ratios)
     executor = _worker_pool(config.workers)
@@ -559,7 +613,7 @@ def run_enumeration(
         if ckpt:
             with open(_sidecar_path(ckpt), "a", encoding="utf-8") as fh:
                 for k in fresh:
-                    xs = [str(Fraction(v, den)) for v in k]
+                    xs = [format_over(v, den) for v in k]
                     fh.write(json.dumps({"x": xs}) + "\n")
             offset = os.path.getsize(_sidecar_path(ckpt))
             gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
@@ -576,7 +630,7 @@ def run_enumeration(
             )
 
     completed = True
-    with closing(_chunk_results(config, pool.ratios, chunks)) as partials:
+    with closing(_chunk_results(config, pool.ratios, chunks, found)) as partials:
         for done, partial in enumerate(partials, 1):
             finish_chunk(partial)
             if stop_after_ranges is not None and done >= stop_after_ranges and partial.rank_hi < total:

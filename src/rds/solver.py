@@ -11,6 +11,12 @@ That closed form is written once, in integers, as ``solve_x_scaled``:
 ``solve_x`` puts a rational head over one denominator and calls it, and
 ``head_inverse`` is its action on the unit heads.
 
+The distance oracle is written once too, as ``pair_roots``: an integer
+square root per pair of abscissae over one denominator.  ``verify_scaled``
+turns its roots into a ``Fraction`` verdict, and ``solution_from_x`` keeps
+them in an integer-backed ``Solution``, from which every record is
+rendered.
+
 Index conventions: pairs are 1-based and ordered (1,2),(1,3),...,(n-1,n);
 a psi vector is positional, so psi_n is the entry for pair (2,3).
 """
@@ -25,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import BadLength, BadN, DuplicatePoint, MissingFreeParam
 from .pythagorean import is_pythagorean_ratio
-from .rat import Rat, isqrt
+from .rat import Rat
 
 
 def indices_set(n: int) -> list[tuple[int, int]]:
@@ -245,11 +251,12 @@ def check_general_position(x: Sequence[Rat]) -> bool:
     The sums are taken on x's numerators over one common denominator,
     which does not change whether a sum is zero.
     """
-    n = len(x)
-    if n < 3:
-        return True
-    nums, _ = _over_lcm(x)
-    if n == 3:
+    return general_position_scaled(_over_lcm(x)[0])
+
+
+def general_position_scaled(nums: Sequence[int]) -> bool:
+    """``check_general_position`` on the numerators of x over one den > 0."""
+    if len(nums) == 3:
         return not (0 in nums and sum(nums) == 0)
     return 0 not in map(sum, combinations(nums, 4))
 
@@ -268,9 +275,9 @@ class VerifyResult(NamedTuple):
 def verify_rds(x: Sequence[Rat]) -> VerifyResult:
     """Independent distance oracle on rational abscissae.
 
-    Puts x over the lcm of its denominators and runs the one oracle body,
-    ``verify_scaled``, which works in integers with its own square root and
-    makes no use of the solver or the completion formulas.
+    Puts x over the lcm of its denominators and runs ``verify_scaled``,
+    which works in integers with its own square root and makes no use of
+    the solver or the completion formulas.
     """
     return verify_scaled(*_over_lcm(x))
 
@@ -278,53 +285,102 @@ def verify_rds(x: Sequence[Rat]) -> VerifyResult:
 def verify_scaled(nums: Sequence[int], den: int) -> VerifyResult:
     """Independent distance oracle on the abscissae nums[i] / den, den > 0.
 
-    The pair sum s = (X_i + X_j) / den is a ratio exactly when
-    (X_i + X_j)^2 + den^2 = C^2 for an integer C, because scaling b/a by
-    any k != 0 keeps a^2 + b^2 a square or a non-square; the distance is
-    then |x_j - x_i| * sqrt(1 + s^2) = |X_j - X_i| * C / den^2.  Everything
-    but the distances stays in integers, and nothing uses the solver or
-    the completion formulas.
+    The pair roots come from ``pair_roots``, the one oracle body; only the
+    distances of this verdict are ``Fraction``s.
+    """
+    roots = pair_roots(nums, den)
+    den2 = den * den
+    distances: list[Rat | None] = [
+        None if d is None else Fraction(d, den2) for d in distance_nums(nums, roots)
+    ]
+    pairs = combinations(range(1, len(nums) + 1), 2)
+    failing = [pair for pair, c in zip(pairs, roots) if c is None]
+    return VerifyResult(ok=not failing, distances=distances, failing_pairs=failing)
+
+
+def pair_roots(nums: Sequence[int], den: int) -> list[int | None]:
+    """The oracle body: per pair, in lexicographic order, the integer root C
+    of (X_i + X_j)^2 + den^2, or None where that is not a square.
+
+    The pair sum s = (X_i + X_j) / den of the abscissae nums / den is a
+    ratio exactly when (X_i + X_j)^2 + den^2 = C^2 for an integer C,
+    because scaling b/a by any k != 0 keeps a^2 + b^2 a square or a
+    non-square; the distance |x_j - x_i| * sqrt(1 + s^2) is then
+    |X_j - X_i| * C / den^2.  It works in integers with its own square
+    root and uses neither the solver nor the completion formulas.
     """
     if not check_distinct(nums):
         raise DuplicatePoint("point abscissae must be pairwise distinct")
     den2 = den * den
-    distances: list[Rat | None] = []
-    failing: list[tuple[int, int]] = []
-    for i, j in combinations(range(len(nums)), 2):
-        c, exact = isqrt((nums[i] + nums[j]) ** 2 + den2)
-        if exact:
-            distances.append(Fraction(abs(nums[j] - nums[i]) * c, den2))
-        else:
-            distances.append(None)
-            failing.append((i + 1, j + 1))
-    return VerifyResult(ok=not failing, distances=distances, failing_pairs=failing)
+    roots: list[int | None] = []
+    for a, b in combinations(nums, 2):
+        square = (a + b) ** 2 + den2
+        c = math.isqrt(square)
+        roots.append(c if c * c == square else None)
+    return roots
+
+
+def distance_nums(nums: Sequence[int], roots: Sequence[int | None]) -> list[int | None]:
+    """The distance numerators |X_j - X_i| * C over den^2, per pair; None
+    where the pair has no root."""
+    return [
+        None if c is None else abs(b - a) * c
+        for (a, b), c in zip(combinations(nums, 2), roots)
+    ]
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified rational distance set with its ratio provenance."""
+    """A verified rational distance set, held in integers.
 
-    n: int
-    x: tuple[Rat, ...]
-    psi: tuple[Rat, ...]
-    distances: tuple[Rat, ...]
+    The abscissae are nums[i] / den with gcd(den, *nums) = 1, so an equal
+    set compares equal however it was scaled; roots[k] is the oracle's
+    root C for the k-th pair in lexicographic order.  ``x``, ``psi`` and
+    ``distances`` are ``Fraction`` views for library callers; the records
+    are rendered from the integers.
+    """
+
+    nums: tuple[int, ...]
+    den: int
+    roots: tuple[int, ...]
     general_position: bool
+
+    @property
+    def n(self) -> int:
+        return len(self.nums)
+
+    @property
+    def x(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
+    @property
+    def psi(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(s, self.den) for s in psi_from_x(self.nums))
+
+    @property
+    def distances(self) -> tuple[Rat, ...]:
+        den2 = self.den * self.den
+        return tuple(Fraction(d, den2) for d in distance_nums(self.nums, self.roots))
 
 
 def solution_from_x(x: Sequence[Rat] | Sequence[int], den: int | None = None) -> Solution:
     """Assemble and oracle-check a Solution from its abscissae.
 
     The abscissae are rationals, or with ``den`` integer numerators over
-    den > 0; the oracle and the general-position test run on integers.
+    den > 0.  They are reduced by gcd(den, *nums) and run through
+    ``pair_roots``; a pair without a root raises ValueError.
     """
     nums, den = _over_lcm(x) if den is None else (list(x), den)
-    result = verify_scaled(nums, den)
-    if not result.ok:
-        raise ValueError(f"not an RDS: irrational distances at pairs {result.failing_pairs}")
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [v // g for v in nums], den // g
+    roots = pair_roots(nums, den)
+    if None in roots:
+        failing = verify_scaled(nums, den).failing_pairs
+        raise ValueError(f"not an RDS: irrational distances at pairs {failing}")
     return Solution(
-        n=len(nums),
-        x=tuple(Fraction(v, den) for v in nums),
-        psi=tuple(Fraction(s, den) for s in psi_from_x(nums)),
-        distances=tuple(result.distances),
-        general_position=check_general_position(nums),
+        nums=tuple(nums),
+        den=den,
+        roots=tuple(roots),
+        general_position=general_position_scaled(nums),
     )

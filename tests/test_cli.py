@@ -342,11 +342,11 @@ def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
     process_range = rds.search.process_range
     calls = []
 
-    def interrupt_third_chunk(*args):
+    def interrupt_third_chunk(*args, **kwargs):
         calls.append(args)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return process_range(*args)
+        return process_range(*args, **kwargs)
 
     monkeypatch.setattr(rds.search, "process_range", interrupt_third_chunk)
     ckpt = tmp_path / "ctrl-c.ckpt"
@@ -354,7 +354,7 @@ def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
     _, err = capsys.readouterr()
     assert err == "rds: interrupted\n"
     # the checkpoint holds the two chunks that completed
-    assert json.loads(ckpt.read_text())["next_rank"] == calls[1][-1]
+    assert json.loads(ckpt.read_text())["next_rank"] == calls[1][4]  # hi
 
     monkeypatch.undo()
     assert main(argv + ["--checkpoint", str(ckpt)]) == 0
@@ -439,3 +439,51 @@ def test_empty_gamma_list_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "rds: --gamma-list is empty\n"
+
+
+@pytest.mark.parametrize("command", [("count", "--n", "3"), ("growth",)], ids=["count", "growth"])
+@pytest.mark.parametrize("gammas", ["25,,29", "25,", ",25"], ids=["inner", "trailing", "leading"])
+def test_empty_gamma_item_is_usage_error(capsys, command, gammas):
+    code, out, err = run_cli(capsys, *command, "--gamma-list", gammas, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"rds: --gamma-list has an empty item: {gammas!r}\n"
+
+
+def _alive(pid):
+    # a zombie has exited; whether its new parent reaps it is not the test's concern
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_the_parent_dies_without_shutdown():
+    import time
+
+    script = (
+        "import os, sys\n"
+        "import rds.cli, rds.search\n"
+        "rc = rds.cli.main(['count', '--n', '3', '--gamma-list', '25,29,41', '--workers', '2'])\n"
+        "pids = [p.pid for p in rds.search._pool[1]._processes.values()]\n"
+        "print(*pids, flush=True)\n"
+        "os._exit(rc)  # no atexit hook, no pool shutdown\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    out, _ = _communicate(proc)
+    assert proc.returncode == 0
+    pids = [int(p) for p in out.splitlines()[-1].split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 20
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []

@@ -3,6 +3,7 @@
 import json
 import operator
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, islice, permutations, product
@@ -28,6 +29,7 @@ from rds.search import (
     _discard_pool,
     _flags_of_x,
     _key_denominator,
+    _load_checkpoint,
     _sum_class,
     _unrank_triple,
     pool_growth_report,
@@ -502,6 +504,83 @@ def test_a_failed_chunk_discards_the_pool(fresh_pool, monkeypatch):
     assert rds_search._pool is None
     monkeypatch.undo()
     assert count_solutions(cfg, build_pool(25)).theta_all == 680
+
+
+# --- the run's map in serial chunks ------------------------------------------
+
+
+@cache
+def _n5_pool():
+    """The pool ratios among the pair sums of the two RDS(5) of
+    Gamma = 145, and three more, as a pool of bound 145: small, and every
+    head of those sets is in it, so n = 5 ordered mode finds each set in
+    many chunks."""
+    x = [Fraction(v, 2016) for v in (-5805, -2005, -305, 817, 1493)]
+    sums = {a + b for a, b in combinations(x, 2)} | {-(a + b) for a, b in combinations(x, 2)}
+    full = build_pool(145)
+    ratios = tuple(sorted(sums & set(full.ratios) | {Fraction(0), Fraction(3, 4), Fraction(4, 3)}))
+    return replace(full, ratios=ratios)
+
+
+_DEDUP_CASES = [(4, lambda: build_pool(25)), (5, _n5_pool)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
+def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, fresh_pool, n, make_pool, mode):
+    pool = make_pool()
+    cfg = SearchConfig(n=n, gamma_bound=pool.gamma_bound, enumeration_mode=mode)
+    items = list(run_enumeration(cfg, pool)[0].items())
+    if n == 5 and mode == MODE_ORDERED:
+        assert len(items) == 2  # the case holds sets
+    assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
+    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
+    for stop_after in (3, 17):
+        assert not run_enumeration(ckpt, pool, stop_after_ranges=stop_after)[1]
+        assert list(run_enumeration(ckpt, pool)[0].items()) == items
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("gamma", [25, 41])
+def test_one_worker_solves_each_n4_set_once(monkeypatch, gamma, mode):
+    calls = []
+
+    def counting_solve_x(head, *args):
+        calls.append(head)
+        return solve_x(head, *args)
+
+    monkeypatch.setattr(rds_search, "solve_x", counting_solve_x)
+    found, _ = run_enumeration(SearchConfig(n=4, gamma_bound=gamma, enumeration_mode=mode), build_pool(gamma))
+    assert len(calls) == len(found) > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
+def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
+    # each chunk with the keys of the chunks before it as ``known``: the
+    # chunk's own result without those keys, in the same order
+    ratios = make_pool().ratios
+    known = {}
+    for lo, hi in partition_space(total_ranks(mode, len(ratios), n), 16):
+        alone = process_range(n, ratios, mode, lo, hi).found
+        got = process_range(n, ratios, mode, lo, hi, known=known).found
+        assert list(got.items()) == [(k, f) for k, f in alone.items() if k not in known]
+        known.update(got)
+
+
+@pytest.mark.parametrize("n, gamma", [(3, 65), (4, 25)])
+def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
+    pool = build_pool(gamma)
+    ckpt = tmp_path / "search.ckpt"
+    cfg = SearchConfig(n=n, gamma_bound=gamma, checkpoint_path=str(ckpt))
+    found, completed = run_enumeration(cfg, pool, stop_after_ranges=5)
+    assert not completed and found
+    den = _key_denominator(pool.ratios)
+    lines = [json.dumps({"x": [str(Fraction(v, den)) for v in k]}) for k in found]
+    assert (tmp_path / "search.ckpt.partial").read_text() == "".join(line + "\n" for line in lines)
+    next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), den)
+    assert next_rank == json.loads(ckpt.read_text())["next_rank"]
+    assert list(loaded.items()) == list(found.items())
 
 
 def test_pool_mismatch_rejected():

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from rds.errors import BadLength, BadN, DuplicatePoint, MissingFreeParam
 from rds.pythagorean import build_pool, is_pythagorean_ratio
 from rds.rat import isqrt, parse_rat
-from rds.records import solution_record
+from rds.records import parse_solution_record, solution_line, solution_record
 from rds.solver import (
-    Solution,
     check_distinct,
     check_existence,
     check_general_position,
@@ -353,8 +352,9 @@ _coordinates = st.fractions(-40, 40, max_denominator=60) | st.integers(-5, 5).ma
 def _abscissae(draw):
     """Distinct abscissae: random ones (rarely an RDS), an always-rational
     pair (r, psi - r), a set solved from pool ratios (always an RDS for 3
-    points, rarely for more), or a published RDS(4); negated half the time."""
-    kind = draw(st.sampled_from(["random", "pair", "solved", "published"]))
+    points, rarely for more), a mirror set {-a, 0, a}, integers (an RDS
+    only as {-r, r}), or a published RDS(4); negated half the time."""
+    kind = draw(st.sampled_from(["random", "pair", "solved", "mirror", "integer", "published"]))
     if kind == "random":
         x = draw(st.lists(_coordinates, min_size=2, max_size=6, unique=True))
     elif kind == "pair":
@@ -366,6 +366,12 @@ def _abscissae(draw):
         x = solve_x(head)
         if not check_distinct(x):
             x = sorted(set(x))
+    elif kind == "mirror":
+        a = draw(st.sampled_from([r for r in _POOL_65 if r > 0]))
+        x = [-a, F(0), a]
+    elif kind == "integer":
+        r = F(draw(st.integers(1, 40)))
+        x = draw(st.just([-r, r]) | st.lists(st.integers(-9, 9).map(F), min_size=2, max_size=5, unique=True))
     else:
         x = rats("-7/4,-7/6,5/12,35/24")
     x = draw(st.permutations(x))
@@ -382,20 +388,54 @@ def test_integer_oracle_matches_fraction_reference(x, scale):
     den = scale * lcm(*(v.denominator for v in x))
     nums = [(v * den).numerator for v in x]
     assert verify_scaled(nums, den) == got
+    want = _fraction_solution_from_x(x)
+    assert (want is not None) == ok
     if not ok:
-        with pytest.raises(ValueError):
-            solution_from_x(nums, den)
+        for args in ((x,), (nums, den)):
+            with pytest.raises(ValueError):
+                solution_from_x(*args)
         return
-    want = Solution(
-        n=len(x),
-        x=tuple(x),
-        psi=tuple(psi_from_x(x)),
-        distances=tuple(distances),
-        general_position=check_general_position(x),
-    )
-    for sol in (solution_from_x(x), solution_from_x(nums, den)):
-        assert sol == want
-        assert json.dumps(solution_record(sol)) == json.dumps(solution_record(want))
+    # the integer-backed Solution's fields, record dict and JSONL line equal
+    # what the Fraction body gives, on x over its lcm and over a multiple of it
+    want_record = {k: [str(v) for v in f] if isinstance(f, tuple) else f for k, f in want.items()}
+    sols = solution_from_x(x), solution_from_x(nums, den)
+    assert sols[0] == sols[1]  # one canonical form however x was scaled
+    for sol in sols:
+        assert {k: getattr(sol, k) for k in want} == want
+        assert json.dumps(solution_record(sol)) == json.dumps(want_record)
+        assert solution_line(sol) == json.dumps(want_record)
+
+
+def _fraction_solution_from_x(x):
+    """The Fraction body ``solution_from_x`` had before it held integers,
+    as a reference: the Fraction oracle, pair sums and general-position
+    rule of this file.  None when x is not an RDS."""
+    ok, distances, _ = _reference_verify(x)
+    if not ok:
+        return None
+    return {
+        "n": len(x),
+        "x": tuple(x),
+        "psi": tuple(x[i] + x[j] for i, j in combinations(range(len(x)), 2)),
+        "distances": tuple(distances),
+        "general_position": _reference_general_position(x),
+    }
+
+
+def test_solution_parse_rejects_a_record_that_disagrees_with_its_x():
+    sol = solution_from_x(rats("-4/15,8/5,4/5"))
+    record = solution_record(sol)
+    assert parse_solution_record(record) == sol
+    for field, value in (
+        ("n", 4),
+        ("psi", ["4/3", "8/15", "12/7"]),
+        ("distances", ["28/9", "272/225", "-52/25"]),
+        ("general_position", False),
+    ):
+        with pytest.raises(ValueError, match=field):
+            parse_solution_record(dict(record, **{field: value}))
+    with pytest.raises(ValueError):
+        parse_solution_record(dict(record, x=["38/15", "-2/5", "-2/15"]))
 
 
 # --- core equivalences (randomized) ------------------------------------------
