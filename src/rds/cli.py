@@ -35,7 +35,6 @@ from .records import (
     write_records,
     write_records_path,
 )
-from .reference import tables_regression
 from .search import (
     GP_FILTERS,
     MODE_MULTISET,
@@ -62,7 +61,8 @@ _MODE_BY_FLAG = {
     "subset": MODE_SUBSET,
 }
 _MODE_HELP = (
-    "heads tried: ordered, all; multiset, pool indices never decrease; subset, they strictly increase"
+    "heads tried: ordered, all (for n >= 4 one per psi_1 <-> psi_2 swap, which gives the same sets); "
+    "multiset, pool indices never decrease; subset, they strictly increase"
 )
 
 
@@ -311,6 +311,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .reference import tables_regression  # only this command reads the bundled tables
+
     lines, ok = tables_regression(errata_detail=args.errata, workers=args.workers)
     for line in lines:
         print(line)

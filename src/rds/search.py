@@ -8,9 +8,10 @@ distinctness conditions.  Every mode shares one rank space per n:
   every mode gives exactly these sets (permuting a head permutes x, and a
   repeated entry repeats an x);
 * n >= 4 ranks all M^n head assignments colexicographically (position 1
-  varies fastest).  Ordered mode keeps every head, multiset mode only
-  heads whose pool indices never decrease, subset mode only heads whose
-  indices strictly increase.
+  varies fastest).  Ordered mode tries every head with i1 < i2 (swapping
+  points 2 and 3 swaps psi_1 and psi_2 and keeps the set), multiset mode
+  only heads whose pool indices never decrease, subset mode only heads
+  whose indices strictly increase.
 
 Solutions are deduplicated by their canonical key, so worker count and
 partition boundaries never affect the result.  A key is the ascending
@@ -34,12 +35,15 @@ the pool.  For n >= 4, most tail entries have the form
 psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
-are cached per chunk and decided by ``pythagorean.is_ratio_pair``.  A
-key takes its flags from ``solve_x`` on its integer head, which gives x
-times L / 2 (the flag tests are sign tests of sums), only when it is new:
-on one worker new to the run, since the serial chunk loop hands the run's
-found map to the kernel; on the pool new to the chunk, since a worker
-cannot see that map.
+are cached per chunk by their sum and decided by
+``pythagorean.is_ratio_pair``.  The kernel walks psi_n, psi_(n-1) ..
+psi_3 depth first and carries the candidates for psi_1 and psi_2, so its
+work follows the outer blocks where two candidates survive, not all
+M^(n-2) of them.  A key takes its flags from ``solve_x`` on its integer
+head, which gives x times L / 2 (the flag tests are sign tests of sums),
+only when it is new: on one worker new to the run, since the serial
+chunk loop hands the run's found map to the kernel; on the pool new to
+the chunk, since a worker cannot see that map.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
@@ -103,7 +107,9 @@ GP_FILTERS = (GP_ANNOTATE, GP_REQUIRE)
 FLAG_GP = 1  # general position under the adopted rule
 FLAG_ZERO_SUM = 2  # n = 3 only: all abscissae sum to zero
 
-_CHECKPOINT_SCHEMA = 1
+# 2: the n >= 4 walk tries one head per psi_1 <-> psi_2 swap, so ordered
+# mode's per-chunk finds differ from schema 1's
+_CHECKPOINT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -252,13 +258,12 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
         k = j + 1
 
 
-def _sum_class(h: list[int], half: int, k: int, m: int) -> set[int]:
-    """R(S) for S = pool[k] + pool[m]: the indices p with S - pool[p] a ratio.
+def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
+    """R(S): the pool indices p with S - pool[p] a ratio, for S over ``half``.
 
-    It always holds k and m, because S - pool[k] = pool[m] and
-    S - pool[m] = pool[k] are pool ratios.
+    For S = pool[k] + pool[m] it holds k and m, since S - pool[k] = pool[m]
+    and S - pool[m] = pool[k] are pool ratios.
     """
-    s = h[k] + h[m]
     return {p for p, v in enumerate(h) if is_ratio_pair(s - v, half)}
 
 
@@ -269,44 +274,41 @@ def _scan_blocks(
 
     Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
     The case-1 and case-2 tails of ``solver.complete_psi`` are
-    psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1: both psi_1 and
-    psi_2 must lie in every membership set R(psi_n + psi_k), where
-    R(S) = {p in pool : S - p is a ratio}.  Each R is computed once per
-    call from M integer ratio tests and cached by its index pair; an outer
-    block runs i2 and then i1 only over the intersection of its sets, cut
-    to the rank window; every R(psi_n + psi_k) holds i_n, so that
-    intersection is never empty.  Case 3 (n >= 5) is tested per surviving
-    head.  The head stays integer: every test and the closed form run on
-    ``h``, the pool's numerators over ``half`` = L / 2, so a survivor's key
-    comes out over L with no division.  A key in neither ``found`` nor
-    ``known`` (the keys the run already holds) takes its flags from
-    ``solve_x`` on that integer head, whose x are the true x times
-    L / 2 > 0; both flag tests are sign tests of sums.
+    psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1, so psi_1 and
+    psi_2 must lie in every R(psi_n + psi_k) (``_ratio_class``); each R is
+    built at most once per call, cached by its sum.
 
-    Multiset and subset mode keep only heads in their index order: they
-    skip outer blocks whose (i3..i_n) break it, and the ``bisect`` that cuts
-    the intersection to the rank window also cuts i2 to i2 <= i3 and i1 to
-    i1 <= i2 (multiset), or to i2 < i3 and i1 < i2 (subset).
+    The outer indices are walked depth first, i_n, then i_(n-1) down to
+    i3, each ascending, so the ranks ascend; a subtree whose o range
+    misses the window is skipped.  The walk carries the candidates for i1
+    and i2: the pool without i_n, cut at each level k to R(psi_n + psi_k)
+    without k.  By the closed form, a head whose psi_1 or psi_2 repeats an
+    outer entry, whose psi_1 = psi_2, or whose middle entries
+    psi_3..psi_(n-1) repeat has two equal abscissae, which
+    ``check_distinct`` drops anyway; so a level skips a k that repeats a
+    middle index (k = i_n stays: psi_k = psi_n is legal), and the walk
+    descends only while two candidates are left.  Swapping the labels of
+    points 2 and 3 swaps psi_1 and psi_2 and keeps the set, so every mode
+    tries only i1 < i2.  Multiset and subset mode also cut each outer
+    index to i_t <= i_(t+1), or i_t < i_(t+1), and i2 to below i3.
+
+    A leaf runs i2 and then i1 over the sorted candidates, cut by
+    ``bisect`` to the rank window, and tests case 3 (n >= 5) per head.
+    Every test and the closed form run on ``h``, the pool's numerators
+    over ``half`` = L / 2, so a survivor's key comes out over L with no
+    division.  A key in neither ``found`` nor ``known`` (the keys the run
+    already holds) takes its flags from ``solve_x`` on that integer head,
+    whose x are the true x times L / 2 > 0; both flag tests are sign tests
+    of sums.
     """
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
-    classes: dict[tuple[int, int], set[int]] = {}
-    sub_pairs = indices_set(n - 3) if n >= 5 else []
     square = M * M
-    for o in range(lo // square, (hi - 1) // square + 1):
-        rem = o
-        outer = []  # outer[j] = index of psi_{j+3}; outer[-1] = index of psi_n
-        for _ in range(n - 2):
-            rem, r_ = divmod(rem, M)
-            outer.append(r_)
-        if any(u >= v + 1 - step for u, v in zip(outer, outer[1:])):
-            continue
-        i_n = outer[-1]
-        for k in outer[:-1]:
-            if (k, i_n) not in classes:
-                classes[k, i_n] = _sum_class(h, half, k, i_n)
-        # the pool indices in every R(psi_n + psi_k), ascending
-        members = sorted(set.intersection(*(classes[k, i_n] for k in outer[:-1])))
+    o_lo, o_hi = lo // square, (hi - 1) // square + 1
+    sub_pairs = indices_set(n - 3) if n >= 5 else []
+    classes: dict[int, set[int]] = {}  # R(S) by the sum S
+
+    def leaf(outer: list[int], o: int, members: list[int]) -> None:
         outer_nums = [h[k] for k in outer]
         for i2 in members[: bisect_left(members, outer[0] + 1 - step)]:
             base = (i2 + M * o) * M
@@ -315,7 +317,7 @@ def _scan_blocks(
             if base + M <= lo:
                 continue
             first = bisect_left(members, lo - base) if base < lo else 0
-            last = bisect_left(members, min(hi - base, i2 + 1 - step))
+            last = bisect_left(members, min(hi - base, i2))
             for i1 in members[first:last]:
                 nums = [h[i1], h[i2]] + outer_nums
                 if sub_pairs:  # case 3: psi_n + psi_a + psi_b - psi_1 - psi_2
@@ -331,6 +333,31 @@ def _scan_blocks(
                 key = tuple(sorted(x))
                 if key not in found and key not in known:
                     found[key] = _flags_of_x(solve_x(nums))
+
+    def walk(outer: list[int], o: int, candidates: set[int]) -> None:
+        # outer = [i_t, ..., i_n]: pick i_(t-1), whose o step is M^(t-4)
+        if len(outer) == n - 2:
+            leaf(outer, o, sorted(candidates))
+            return
+        unit = M ** (n - 3 - len(outer))
+        s_n = h[outer[-1]]
+        middle = outer[:-1]
+        stop = min(M, -((o - o_hi) // unit), outer[0] + 1 - step)
+        for k in range(max(0, (o_lo - o) // unit), stop):
+            if k in middle:
+                continue
+            s = s_n + h[k]
+            r = classes.get(s)
+            if r is None:
+                r = classes[s] = _ratio_class(h, half, s)
+            rest = candidates & r
+            rest.discard(k)
+            if len(rest) >= 2:
+                walk([k] + outer, o + k * unit, rest)
+
+    unit = M ** (n - 3)
+    for i_n in range(o_lo // unit, (o_hi - 1) // unit + 1):
+        walk([i_n], i_n * unit, set(range(M)) - {i_n})
 
 
 def process_range(

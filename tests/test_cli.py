@@ -411,13 +411,22 @@ def test_rds_workers_env_default(monkeypatch):
 
 
 def test_tables_exit_code_follows_regression(capsys, monkeypatch):
-    import rds.cli as cli_mod
+    import rds.reference as reference_mod
 
-    monkeypatch.setattr(cli_mod, "tables_regression", lambda **kw: (["[PASS] stub"], True))
+    monkeypatch.setattr(reference_mod, "tables_regression", lambda **kw: (["[PASS] stub"], True))
     assert main(["tables"]) == 0
-    monkeypatch.setattr(cli_mod, "tables_regression", lambda **kw: (["[FAIL] stub"], False))
+    monkeypatch.setattr(reference_mod, "tables_regression", lambda **kw: (["[FAIL] stub"], False))
     assert main(["tables"]) == 1
     capsys.readouterr()
+
+
+def test_cli_import_leaves_the_bundled_tables_unloaded():
+    # only `rds tables` reads them, so no other command pays their import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    script = "import sys, rds.cli; print('rds.reference' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_growth_csv(capsys):

@@ -30,7 +30,7 @@ from rds.search import (
     _flags_of_x,
     _key_denominator,
     _load_checkpoint,
-    _sum_class,
+    _ratio_class,
     _unrank_triple,
     pool_growth_report,
     process_range,
@@ -139,6 +139,9 @@ _HEAD_ORDER = {
 
 
 def _in_head_order(mode, head):
+    # for n >= 4 ordered mode tries one head per psi_1 <-> psi_2 swap, i1 < i2
+    if mode == MODE_ORDERED and len(head) > 3:
+        return head[0] < head[1]
     return all(map(_HEAD_ORDER[mode], head, head[1:]))
 
 
@@ -182,9 +185,12 @@ def _heads_in(points, pool):
 
 @cache
 def _seed_heads():
-    """Heads on which a slip in a kernel shows: n = 3 mirror triples, the
-    ordered RDS(4) of gamma 25, and five-point sets made of two of those
-    sharing three points, so that exactly one pair sum is not a ratio."""
+    """Families of heads on which a slip in a kernel shows: n = 3 mirror
+    triples; the ordered RDS(4) of gamma 25; five-point sets made of two of
+    those sharing three points, so that exactly one pair sum is not a ratio;
+    and the two RDS(5) of gamma 145, whose heads sit at the bottom of a
+    subtree that every level of the n >= 4 walk keeps, while most of their
+    siblings in a sub-pool of random extras hold fewer than two candidates."""
     pool = set(_POOL_65)
     rds4 = [s.x for s in search(SearchConfig(n=4, gamma_bound=25), build_pool(25))]
     by_triple = defaultdict(list)
@@ -198,26 +204,33 @@ def _seed_heads():
             (e,) = set(b) - set(triple)
             if not is_pythagorean_ratio(d + e):
                 near5.add(tuple(sorted(triple + (d, e))))
+    pool5 = set(_n5_pool().ratios)
     return {
-        3: [(-r, Fraction(0), r) for r in _POOL_65 if r > 0],
-        4: [h for x in rds4 for h in _heads_in(x, pool)],
-        5: [h for x in sorted(near5) for h in _heads_in(x, pool)],
+        3: [[(-r, Fraction(0), r) for r in _POOL_65 if r > 0]],
+        4: [[h for x in rds4 for h in _heads_in(x, pool)]],
+        5: [
+            [h for x in sorted(near5) for h in _heads_in(x, pool)],
+            [h for x in _RDS5_GAMMA_145 for h in _heads_in(x, pool5)],
+        ],
     }
 
 
 @cache
 def _seed_kinds(n, mode):
-    """The seed heads grouped by how each entry compares with the next (<, =
-    or >); for multiset and subset only the groups with at most one = or >,
-    whose heads the mode keeps or must cut away at one position."""
-    groups = defaultdict(list)
-    for h in _seed_heads()[n]:
-        groups[tuple((a > b) - (a < b) for a, b in zip(h, h[1:]))].append(h)
-    return [
-        g
-        for signs, g in sorted(groups.items())
-        if mode == MODE_ORDERED or sum(v >= 0 for v in signs) <= 1
-    ]
+    """Each family's seed heads grouped by how each entry compares with the
+    next (<, = or >); for multiset and subset only the groups with at most
+    one = or >, whose heads the mode keeps or must cut away at one position."""
+    kinds = []
+    for family in _seed_heads()[n]:
+        groups = defaultdict(list)
+        for h in family:
+            groups[tuple((a > b) - (a < b) for a, b in zip(h, h[1:]))].append(h)
+        kinds += [
+            g
+            for signs, g in sorted(groups.items())
+            if mode == MODE_ORDERED or sum(v >= 0 for v in signs) <= 1
+        ]
+    return kinds
 
 
 @st.composite
@@ -347,11 +360,12 @@ def test_row_kernel_flags_zero_sum_sets_without_zero():
             assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == items[lo:hi]
 
 
-def test_sum_class_holds_both_of_its_indices():
-    # why the n >= 4 kernel's intersection of classes is never empty
+def test_ratio_class_holds_both_indices_of_its_sum():
+    # R(psi_n + psi_k) holds k and i_n: the walk drops them from the
+    # candidates itself, since a head that repeats them is never distinct
     h, half = _over_lcm(build_pool(65).ratios)
-    for k, m in product(range(len(h)), repeat=2):
-        assert {k, m} <= _sum_class(h, half, k, m)
+    for k, i_n in product(range(len(h)), repeat=2):
+        assert {k, i_n} <= _ratio_class(h, half, h[i_n] + h[k])
 
 
 @cache
@@ -509,13 +523,19 @@ def test_a_failed_chunk_discards_the_pool(fresh_pool, monkeypatch):
 # --- the run's map in serial chunks ------------------------------------------
 
 
+# the two RDS(5) of Gamma = 145, mirror images of each other
+_RDS5_GAMMA_145 = [
+    tuple(sorted(Fraction(s * v, 2016) for v in (-5805, -2005, -305, 817, 1493))) for s in (1, -1)
+]
+
+
 @cache
 def _n5_pool():
     """The pool ratios among the pair sums of the two RDS(5) of
     Gamma = 145, and three more, as a pool of bound 145: small, and every
     head of those sets is in it, so n = 5 ordered mode finds each set in
     many chunks."""
-    x = [Fraction(v, 2016) for v in (-5805, -2005, -305, 817, 1493)]
+    x = _RDS5_GAMMA_145[0]
     sums = {a + b for a, b in combinations(x, 2)} | {-(a + b) for a, b in combinations(x, 2)}
     full = build_pool(145)
     ratios = tuple(sorted(sums & set(full.ratios) | {Fraction(0), Fraction(3, 4), Fraction(4, 3)}))
@@ -566,6 +586,36 @@ def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
         got = process_range(n, ratios, mode, lo, hi, known=known).found
         assert list(got.items()) == [(k, f) for k, f in alone.items() if k not in known]
         known.update(got)
+
+
+@cache
+def _whole_space_reference(n, ratios):
+    """Per mode, {key: flags} of every head of the naive product in the
+    mode's order, without the i1 < i2 cut: what the whole space must give."""
+    survivors = list(_naive_reference(n, ratios, 0, len(ratios) ** n))
+    return {
+        mode: {key: flags for _, idx, key, flags in survivors if all(map(_HEAD_ORDER[mode], idx, idx[1:]))}
+        for mode in MODES
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_DEDUP_CASES), data=st.data())
+def test_whole_space_matches_the_uncut_naive_product(case, data):
+    # chunks at any cuts find together the keys and flags of every head of
+    # the naive product, i1 > i2 included: one head per psi_1 <-> psi_2
+    # swap loses no set
+    n, make_pool = case
+    ratios = make_pool().ratios
+    total = len(ratios) ** n
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=12)))
+    want = _whole_space_reference(n, ratios)
+    assert want[MODE_ORDERED]  # the case holds sets
+    for mode in MODES:
+        got = {}
+        for lo, hi in zip([0] + cuts, cuts + [total]):
+            got.update(process_range(n, ratios, mode, lo, hi).found)
+        assert got == want[mode], mode
 
 
 @pytest.mark.parametrize("n, gamma", [(3, 65), (4, 25)])
@@ -711,6 +761,9 @@ _BAD_RANK = "next_rank .* is out of range"
             "lacks 'next_rank'",
         ),
         (lambda p: json.dumps({**p, "schema_version": 99}), "unsupported checkpoint schema 99"),
+        # schema 1 was written by the kernel that tried both heads of a
+        # psi_1 <-> psi_2 swap: its chunks' finds are not this kernel's
+        (lambda p: json.dumps({**p, "schema_version": 1}), "^unsupported checkpoint schema 1$"),
         (
             lambda p: json.dumps({**p, "output_offset": p["output_offset"] + 1}),
             "shorter than recorded offset",
@@ -727,6 +780,7 @@ _BAD_RANK = "next_rank .* is out of range"
         "rank-past-end",
         "missing-key",
         "schema-version",
+        "schema-1-kernel",
         "offset-past-sidecar-end",
     ],
 )
