@@ -149,6 +149,8 @@ def _cmd_solve(args) -> int:
     expected = 1 if n == 2 else n
     if len(head) != expected:
         raise RdsError(f"--psi needs {expected} entries for n={n}, got {len(head)}")
+    if args.free is not None and n >= 3:
+        raise RdsError(f"--free is for n = 2 only, got n={n}")
     free = parse_rat(args.free) if args.free is not None else None
     record, ok = _solve_record(n, head, free)
     _emit([record], args, kind="solution")
@@ -272,9 +274,13 @@ def _cmd_density_probe(args) -> int:
 
     misses = 0
     records = []
-    if args.samples:
-        rng = random.Random(args.seed)
+    if args.samples is not None:
+        if args.samples < 1:
+            raise RdsError(f"--samples must be >= 1, got {args.samples}")
         width = parse_rat(args.width)
+        if not 0 < width <= 6:
+            raise RdsError(f"--width must be in (0, 6], got {args.width}")
+        rng = random.Random(args.seed)
         grid = 600
         # keep sampled subintervals inside (-3, 3)
         hi_limit = 3 * grid - max(1, int(width * grid))

@@ -2,16 +2,17 @@
 
 Candidate independent ratio vectors (heads) are drawn from a bounded
 ratio pool, completed to full vectors, and filtered by the membership and
-distinctness conditions.  Every mode shares one rank space per n:
+distinctness conditions.  A rank is the pool index of the kernel's
+outermost loop, so every n and mode has M ranks and a rank range is a
+range of whole outer indices:
 
-* n = 3 ranks the C(M,3) strictly increasing heads lexicographically;
-  every mode gives exactly these sets (permuting a head permutes x, and a
-  repeated entry repeats an x);
-* n >= 4 ranks all M^n head assignments colexicographically (position 1
-  varies fastest).  Ordered mode tries every head with i1 < i2 (swapping
-  points 2 and 3 swaps psi_1 and psi_2 and keeps the set), multiset mode
-  only heads whose pool indices never decrease, subset mode only heads
-  whose indices strictly increase.
+* n = 3 tries the strictly increasing heads i1 < i2 < i3 and ranks them
+  by i1; every mode gives exactly these sets (permuting a head permutes
+  x, and a repeated entry repeats an x);
+* n >= 4 ranks heads by i_n.  Ordered mode tries every head with i1 < i2
+  (swapping points 2 and 3 swaps psi_1 and psi_2 and keeps the set),
+  multiset mode only heads whose pool indices never decrease, subset mode
+  only heads whose indices strictly increase.
 
 Solutions are deduplicated by their canonical key, so worker count and
 partition boundaries never affect the result.  A key is the ascending
@@ -109,7 +110,9 @@ FLAG_ZERO_SUM = 2  # n = 3 only: all abscissae sum to zero
 
 # 2: the n >= 4 walk tries one head per psi_1 <-> psi_2 swap, so ordered
 # mode's per-chunk finds differ from schema 1's
-_CHECKPOINT_SCHEMA = 2
+# 3: a rank is the outermost pool index, so next_rank counts whole i1
+# (n = 3) or i_n (n >= 4), not heads
+_CHECKPOINT_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -165,14 +168,13 @@ class CountReport:
 class Partial:
     """Results of one contiguous rank range."""
 
-    rank_lo: int
     rank_hi: int
     found: dict[tuple[int, ...], int]  # canonical key -> flag bits
 
 
 def total_ranks(mode: str, pool_size: int, n: int) -> int:
-    """Size of the deterministic enumeration space; every mode shares it."""
-    return math.comb(pool_size, 3) if n == 3 else pool_size**n
+    """Size of the rank space: one rank per outermost pool index, for every n and mode."""
+    return pool_size
 
 
 def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]]:
@@ -207,55 +209,35 @@ def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     return flags
 
 
-def _unrank_triple(M: int, rank: int) -> tuple[int, int, int]:
-    """The strictly increasing index triple of lexicographic rank ``rank`` < C(M,3)."""
-    i = 0
-    while rank >= (block := math.comb(M - 1 - i, 2)):
-        rank -= block
-        i += 1
-    j = i + 1
-    while rank >= (row := M - 1 - j):
-        rank -= row
-        j += 1
-    return i, j, j + 1 + rank
-
-
 def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
-    """The n = 3 scan over strictly increasing heads, for every mode.
+    """The n = 3 scan over strictly increasing heads i < j < k with i in
+    [lo, hi), for every mode.
 
     ``h`` holds the pool's numerators over L / 2.  Distinct head entries
     force distinct x (pairwise x differences are pairwise psi differences),
     so no distinctness check is needed; and with p < q < r the solved x
-    come out already sorted ascending, as the key.  The window starts at
-    the unranked triple of ``lo`` and runs row (i, j) by row.  Within a row
-    x is linear in r: x(p, q, r) = x(p, q, 0) + r * (-1, 1, 1), so a row's
-    keys are three shifted copies of its slice of ``h``, stored with
-    FLAG_GP.  The x sum to (p + q + r) / 2, and pool values are distinct,
-    so a row holds at most one zero-sum head, r = -(p + q); only its key
-    goes through ``_flags_of_x``, in place, so the insertion order stays
-    rank order.
+    come out already sorted ascending, as the key.  The scan runs row
+    (i, j) by row.  Within a row x is linear in r:
+    x(p, q, r) = x(p, q, 0) + r * (-1, 1, 1), so a row's keys are three
+    shifted copies of its slice of ``h``, stored with FLAG_GP.  The x sum
+    to (p + q + r) / 2, and pool values are distinct, so a row holds at
+    most one zero-sum head, r = -(p + q); only its key goes through
+    ``_flags_of_x``, in place, so the insertion order stays head order.
     """
     M = len(h)
     index = {v: t for t, v in enumerate(h)}
     flags_gp = repeat(FLAG_GP)
-    i, j, k = _unrank_triple(M, lo)
-    left = min(hi, math.comb(M, 3)) - lo
-    while left > 0:
-        hp, hq = h[i], h[j]
-        a, b, c = solve_x_scaled((hp, hq, 0))
-        row = h[k : k + left]
-        found.update(zip(zip(map(a.__sub__, row), map(b.__add__, row), map(c.__add__, row)), flags_gp))
-        hr = -hp - hq
-        t = index.get(hr)
-        if t is not None and k <= t < k + len(row):
-            key = (a - hr, b + hr, c + hr)
-            found[key] = _flags_of_x(key)
-        left -= M - k
-        j += 1
-        if j == M - 1:
-            i += 1
-            j = i + 1
-        k = j + 1
+    for i in range(lo, hi):
+        hp = h[i]
+        for j in range(i + 1, M - 1):
+            hq = h[j]
+            a, b, c = solve_x_scaled((hp, hq, 0))
+            row = h[j + 1 :]
+            found.update(zip(zip(map(a.__sub__, row), map(b.__add__, row), map(c.__add__, row)), flags_gp))
+            hr = -hp - hq
+            if index.get(hr, -1) > j:
+                key = (a - hr, b + hr, c + hr)
+                found[key] = _flags_of_x(key)
 
 
 def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
@@ -270,30 +252,28 @@ def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
 def _scan_blocks(
     h: list[int], half: int, n: int, mode: str, lo: int, hi: int, found: dict, known
 ) -> None:
-    """The n >= 4 scan over colex ranks [lo, hi), for every mode.
+    """The n >= 4 scan over the heads with i_n in [lo, hi), for every mode.
 
-    Rank = i1 + M*i2 + M^2*o, where the outer index o encodes (i3..i_n).
     The case-1 and case-2 tails of ``solver.complete_psi`` are
     psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1, so psi_1 and
     psi_2 must lie in every R(psi_n + psi_k) (``_ratio_class``); each R is
     built at most once per call, cached by its sum.
 
     The outer indices are walked depth first, i_n, then i_(n-1) down to
-    i3, each ascending, so the ranks ascend; a subtree whose o range
-    misses the window is skipped.  The walk carries the candidates for i1
-    and i2: the pool without i_n, cut at each level k to R(psi_n + psi_k)
-    without k.  By the closed form, a head whose psi_1 or psi_2 repeats an
-    outer entry, whose psi_1 = psi_2, or whose middle entries
-    psi_3..psi_(n-1) repeat has two equal abscissae, which
-    ``check_distinct`` drops anyway; so a level skips a k that repeats a
-    middle index (k = i_n stays: psi_k = psi_n is legal), and the walk
-    descends only while two candidates are left.  Swapping the labels of
-    points 2 and 3 swaps psi_1 and psi_2 and keeps the set, so every mode
-    tries only i1 < i2.  Multiset and subset mode also cut each outer
-    index to i_t <= i_(t+1), or i_t < i_(t+1), and i2 to below i3.
+    i3, each ascending.  The walk carries the candidates for i1 and i2: the
+    pool without i_n, cut at each level k to R(psi_n + psi_k) without k.
+    By the closed form, a head whose psi_1 or psi_2 repeats an outer
+    entry, whose psi_1 = psi_2, or whose middle entries psi_3..psi_(n-1)
+    repeat has two equal abscissae, which ``check_distinct`` drops anyway;
+    so a level skips a k that repeats a middle index (k = i_n stays:
+    psi_k = psi_n is legal), and the walk descends only while two
+    candidates are left.  Swapping the labels of points 2 and 3 swaps
+    psi_1 and psi_2 and keeps the set, so every mode tries only i1 < i2.
+    Multiset and subset mode also cut each outer index to i_t <= i_(t+1),
+    or i_t < i_(t+1), and i2 to below i3.
 
-    A leaf runs i2 and then i1 over the sorted candidates, cut by
-    ``bisect`` to the rank window, and tests case 3 (n >= 5) per head.
+    A leaf runs i2 over the sorted candidates below the mode cut and i1
+    over the candidates before i2, and tests case 3 (n >= 5) per head.
     Every test and the closed form run on ``h``, the pool's numerators
     over ``half`` = L / 2, so a survivor's key comes out over L with no
     division.  A key in neither ``found`` nor ``known`` (the keys the run
@@ -303,22 +283,14 @@ def _scan_blocks(
     """
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
-    square = M * M
-    o_lo, o_hi = lo // square, (hi - 1) // square + 1
     sub_pairs = indices_set(n - 3) if n >= 5 else []
     classes: dict[int, set[int]] = {}  # R(S) by the sum S
 
-    def leaf(outer: list[int], o: int, members: list[int]) -> None:
+    def leaf(outer: list[int], members: list[int]) -> None:
         outer_nums = [h[k] for k in outer]
-        for i2 in members[: bisect_left(members, outer[0] + 1 - step)]:
-            base = (i2 + M * o) * M
-            if base >= hi:
-                break
-            if base + M <= lo:
-                continue
-            first = bisect_left(members, lo - base) if base < lo else 0
-            last = bisect_left(members, min(hi - base, i2))
-            for i1 in members[first:last]:
+        below = members[: bisect_left(members, outer[0] + 1 - step)]
+        for pos, i2 in enumerate(below):
+            for i1 in members[:pos]:
                 nums = [h[i1], h[i2]] + outer_nums
                 if sub_pairs:  # case 3: psi_n + psi_a + psi_b - psi_1 - psi_2
                     c = nums[-1] - nums[0] - nums[1]
@@ -334,16 +306,14 @@ def _scan_blocks(
                 if key not in found and key not in known:
                     found[key] = _flags_of_x(solve_x(nums))
 
-    def walk(outer: list[int], o: int, candidates: set[int]) -> None:
-        # outer = [i_t, ..., i_n]: pick i_(t-1), whose o step is M^(t-4)
+    def walk(outer: list[int], candidates: set[int]) -> None:
+        # outer = [i_t, ..., i_n]: pick i_(t-1)
         if len(outer) == n - 2:
-            leaf(outer, o, sorted(candidates))
+            leaf(outer, sorted(candidates))
             return
-        unit = M ** (n - 3 - len(outer))
         s_n = h[outer[-1]]
         middle = outer[:-1]
-        stop = min(M, -((o - o_hi) // unit), outer[0] + 1 - step)
-        for k in range(max(0, (o_lo - o) // unit), stop):
+        for k in range(min(M, outer[0] + 1 - step)):
             if k in middle:
                 continue
             s = s_n + h[k]
@@ -353,11 +323,10 @@ def _scan_blocks(
             rest = candidates & r
             rest.discard(k)
             if len(rest) >= 2:
-                walk([k] + outer, o + k * unit, rest)
+                walk([k] + outer, rest)
 
-    unit = M ** (n - 3)
-    for i_n in range(o_lo // unit, (o_hi - 1) // unit + 1):
-        walk([i_n], i_n * unit, set(range(M)) - {i_n})
+    for i_n in range(lo, hi):
+        walk([i_n], set(range(M)) - {i_n})
 
 
 def process_range(
@@ -385,7 +354,7 @@ def _scan_range(
             _scan_triples(h, lo, hi, found)
         else:
             _scan_blocks(h, half, n, mode, lo, hi, found, known)
-    return Partial(rank_lo=lo, rank_hi=hi, found=found)
+    return Partial(rank_hi=hi, found=found)
 
 
 # (workers, executor, pipe) of the process's one pool, started on first use

@@ -103,6 +103,14 @@ def test_solve_n2_needs_free(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, psi", [("3", "3/4,4/3,0"), ("4", "-35/12,-4/3,-7/24,-3/4")])
+def test_solve_free_with_n_at_least_3_is_usage_error(capsys, n, psi):
+    # the mirror of --n 2 without --free: n >= 3 has no free coordinate
+    code, out, err = run_cli(capsys, "solve", "--n", n, "--psi", psi, "--free", "1")
+    assert (code, out) == (2, "")
+    assert err == f"rds: --free is for n = 2 only, got n={n}\n"
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -201,6 +209,30 @@ def test_density_probe_single_and_missing(capsys):
     assert out.splitlines()[1] == (
         '{"psi": "0", "gamma": null, "class": "zero/none", "lo": "-1/2", "hi": "1/3"}'
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--samples", "-3"], "--samples"),
+        (["--samples", "0"], "--samples"),
+        (["--samples", "2", "--width", "7"], "--width"),
+        (["--samples", "2", "--width", "0"], "--width"),
+        (["--samples", "2", "--width", "-1/50"], "--width"),
+    ],
+    ids=["samples-negative", "samples-zero", "width-past-6", "width-zero", "width-negative"],
+)
+def test_density_probe_rejects_bad_sampling_flags(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "density-probe", "--gamma-cap", "25", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"rds: {flag} must be ") and err.count("\n") == 1
+
+
+def test_density_probe_widest_width_stays_inside(capsys):
+    # width 6 is all of (-3, 3): every sample is that interval
+    code, out, _ = run_cli(capsys, "density-probe", "--gamma-cap", "25", "--samples", "2", "--width", "6")
+    assert code == 0
+    assert [(r["lo"], r["hi"]) for r in payload_lines(out)] == [("-3", "3")] * 2
 
 
 def test_density_probe_batch_deterministic(capsys):

@@ -6,7 +6,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, islice, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, lcm
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import rds.search as rds_search
 from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
-from rds.pythagorean import build_pool, is_pythagorean_ratio
+from rds.pythagorean import build_pool, is_pythagorean_ratio, is_ratio_pair
 from rds.search import (
     FLAG_GP,
     FLAG_ZERO_SUM,
@@ -31,7 +31,6 @@ from rds.search import (
     _key_denominator,
     _load_checkpoint,
     _ratio_class,
-    _unrank_triple,
     pool_growth_report,
     process_range,
     run_enumeration,
@@ -57,10 +56,10 @@ def test_partition_space_examples():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_total_ranks_one_space_per_n(mode):
+    # a rank is the outermost pool index: i1 for n = 3, i_n for n >= 4
     for M in (0, 1, 4, 17, 33):
-        assert total_ranks(mode, M, 3) == comb(M, 3)
-        for n in (4, 5, 6):
-            assert total_ranks(mode, M, n) == M**n
+        for n in (3, 4, 5, 6):
+            assert total_ranks(mode, M, n) == M
 
 
 def test_partition_space_covers_and_balances():
@@ -145,31 +144,44 @@ def _in_head_order(mode, head):
     return all(map(_HEAD_ORDER[mode], head, head[1:]))
 
 
-def _naive_reference(n, ratios, lo, hi):
-    """The heads of ranks [lo, hi) that solve, by brute force in Fraction arithmetic.
+def _naive_reference(n, ratios, lo, hi, keep=lambda idx: True):
+    """The heads of ranks [lo, hi) that solve, by brute force.
 
-    n = 3 ranks strictly increasing heads; n >= 4 ranks all M^n heads
-    colexicographically (psi_1 fastest), i.e. reversed ``product`` tuples.
-    Yields (rank, pool indices, key, flags) for every head whose solution
-    is kept; a mode keeps those whose indices are in its head order.  The
-    key is the sorted x times L = 2 * lcm(pool denominators), which must be
-    integral.
+    A rank is the outermost pool index: n = 3 tries the strictly
+    increasing heads, ranked by i1; n >= 4 tries all M^n heads, ranked by
+    i_n, each rank's heads colexicographically (psi_1 fastest), i.e.
+    reversed ``product`` tuples.  Every head that ``keep`` passes is
+    completed by ``complete_psi`` and a survivor solved in Fraction
+    arithmetic.  Yields (rank, pool indices, key, flags) for every head
+    whose solution is kept; a mode keeps those whose indices are in its
+    head order.  The key is the sorted x times L = 2 * lcm(pool
+    denominators), which must be integral.
     """
     L = 2 * lcm(*(r.denominator for r in ratios))
+    M = len(ratios)
     if n == 3:
-        heads = combinations(range(len(ratios)), 3)
+        heads = (idx for idx in combinations(range(M), 3) if lo <= idx[0] < hi)
     else:
-        heads = (h[::-1] for h in product(range(len(ratios)), repeat=n))
-    for rank, idx in enumerate(islice(heads, lo, hi), lo):
-        head = [ratios[i] for i in idx]
-        if not all(map(is_pythagorean_ratio, complete_psi(head)[n:])):
+        heads = (rest[::-1] + (i_n,) for i_n in range(lo, hi) for rest in product(range(M), repeat=n - 1))
+    # the tail entries are linear in the head: on the numerators over D they
+    # are numerators over D, and v / D is a ratio iff (v, D) is a ratio pair
+    D = L // 2
+    nums = [(r * D).numerator for r in ratios]
+    for idx in filter(keep, heads):
+        if not all(is_ratio_pair(v, D) for v in complete_psi([nums[i] for i in idx])[n:]):
             continue
+        head = [ratios[i] for i in idx]
         x = solve_x(head)
         if check_distinct(x):
             scaled = [v * L for v in sorted(x)]
             assert all(v.denominator == 1 for v in scaled)
             key = tuple(v.numerator for v in scaled)
-            yield rank, idx, key, _flags_of_x(x)
+            yield _outer(idx), idx, key, _flags_of_x(x)
+
+
+def _outer(idx):
+    """A head's rank: its outermost pool index, i1 for n = 3 and i_n for n >= 4."""
+    return idx[0] if len(idx) == 3 else idx[-1]
 
 
 _POOL_65 = build_pool(65).ratios
@@ -237,14 +249,15 @@ def _seed_kinds(n, mode):
 def _windows(draw):
     """(n, sub-pool of 4..9 ratios, rank cuts).
 
-    The sub-pool holds a seed head plus random pool ratios, and the cuts lie
-    around the seed head's rank, often right next to it, to the edges of its
-    block of M ranks, or to its head-order edges i1 = i2 and i2 = i3.  n, a
-    mode, the seed's kind for that mode, the seed and whether extras avoid
-    the seed's range come from one uniform generator, so that heads a mode
-    must cut away at each position, or keep despite a tie, are drawn as
-    often as others; Hypothesis's own choices cluster and left most kinds
-    undrawn.
+    The sub-pool holds a seed head plus random pool ratios, and the cuts
+    lie at the seed head's rank, its outermost pool index, and next to it:
+    a rank holds M^(n-1) heads for n >= 4, so a few ranks keep the
+    reference cheap, and the first cut and the last straddle the seed.
+    n, a mode, the seed's kind for that mode, the seed and whether extras
+    avoid the seed's range come from one uniform generator, so that heads
+    a mode must cut away at each position, or keep despite a tie, are
+    drawn as often as others; Hypothesis's own choices cluster and left
+    most kinds undrawn.
     """
     rnd = draw(st.randoms(use_true_random=True))
     n = rnd.choice([3, 4, 5])
@@ -258,27 +271,11 @@ def _windows(draw):
         others = [r for r in others if not min(seed) < r < max(seed)] or others
     extra = draw(st.sets(st.sampled_from(others), min_size=max(0, 4 - k), max_size=9 - k))
     ratios = tuple(sorted(set(seed) | extra))
-    M = len(ratios)
-    idx = [ratios.index(v) for v in seed]
-    if n == 3:
-        rank = list(combinations(range(M), 3)).index(tuple(idx))
-    else:
-        rank = sum(i * M**j for j, i in enumerate(idx))
-    total = total_ranks(mode, M, n)
-    block = rank - rank % M
-    near = (rank - 1, rank, rank + 1, rank + 2, block, block + 1, block + M - 1, block + M)
-    if n > 3:
-        i2, i3 = idx[1:3]
-        block23 = block + M * (i3 - i2)  # the block of i2 = i3
-        near += (block + i2, block + i2 + 1, block23, block23 + i3, block23 + i3 + 1, block23 + M)
-    near = sorted({min(max(v, 0), total) for v in near})
-    # a few outer blocks (M^2 ranks each) around the seed keep the reference
-    # cheap; the first cut and the last straddle the seed
-    span_lo, span_hi = max(0, rank - 2 * M * M), min(total, rank + 2 * M * M)
-    below = st.integers(span_lo, rank) | st.sampled_from([v for v in near if v <= rank])
-    above = st.integers(rank + 1, span_hi) | st.sampled_from([v for v in near if v > rank])
-    inner = st.integers(span_lo, span_hi) | st.sampled_from(near)
-    cuts = [draw(below), draw(above)] + draw(st.lists(inner, max_size=4))
+    rank = _outer([ratios.index(v) for v in seed])
+    near = sorted({min(max(v, 0), len(ratios)) for v in (rank - 1, rank, rank + 1, rank + 2)})
+    below = st.sampled_from([v for v in near if v <= rank])
+    above = st.sampled_from([v for v in near if v > rank])
+    cuts = [draw(below), draw(above)] + draw(st.lists(st.sampled_from(near), max_size=4))
     return n, ratios, sorted(cuts)
 
 
@@ -286,10 +283,12 @@ def _windows(draw):
 @given(window=_windows())
 def test_kernels_match_naive_reference(window):
     # per mode and window between consecutive cuts: the integer kernels'
-    # keys, flags and insertion order equal the first finds of the Fraction
+    # keys, flags and insertion order equal the first finds of the naive
     # reference among the heads in the mode's order
     n, ratios, cuts = window
-    survivors = list(_naive_reference(n, ratios, cuts[0], cuts[-1]))
+    # only heads some mode keeps: each mode's want below filters by its order
+    tried = lambda idx: any(_in_head_order(mode, idx) for mode in MODES)
+    survivors = list(_naive_reference(n, ratios, cuts[0], cuts[-1], tried))
     for mode in MODES:
         for lo, hi in zip(cuts, cuts[1:]):
             want = {}
@@ -300,52 +299,44 @@ def test_kernels_match_naive_reference(window):
             assert list(got.items()) == list(want.items()), mode
 
 
-def test_unrank_triple_starts_every_window():
-    for M in range(3, 10):
-        for lo, head in enumerate(combinations(range(M), 3)):
-            assert _unrank_triple(M, lo) == head
-    # the n = 3 kernel's one-rank windows hold exactly the unranked head's set
-    ratios = build_pool(25).ratios
-    L = _key_denominator(ratios)
-    for lo, idx in enumerate(combinations(range(len(ratios)), 3)):
-        x = sorted(solve_x([ratios[i] for i in idx]))
-        assert list(process_range(3, ratios, MODE_ORDERED, lo, lo + 1).found) == [
-            tuple((v * L).numerator for v in x)
-        ]
-
-
 def _per_triple_items(ratios):
-    """The n = 3 scan written one triple at a time: (key, flags) of every
-    strictly increasing head, in rank order."""
+    """The n = 3 scan written one triple at a time: (i1, (key, flags)) of
+    every strictly increasing head, in head order."""
     h, _ = _over_lcm(ratios)
     items = []
     for idx in combinations(range(len(h)), 3):
         key = tuple(solve_x_scaled([h[i] for i in idx]))
-        items.append((key, _flags_of_x(key)))
+        items.append((idx[0], (key, _flags_of_x(key))))
     return items
 
 
-def _zero_sum_ranks(ratios):
-    return [r for r, idx in enumerate(combinations(range(len(ratios)), 3)) if sum(ratios[i] for i in idx) == 0]
+def _in_window(items, lo, hi):
+    return [item for i, item in items if lo <= i < hi]
+
+
+def _zero_sum_items(ratios, items):
+    """The items of the zero-sum heads."""
+    heads = combinations(range(len(ratios)), 3)
+    return [item for idx, item in zip(heads, items) if sum(ratios[i] for i in idx) == 0]
 
 
 @pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
 @pytest.mark.parametrize("gamma", [5, 13, 25])
 def test_row_kernel_matches_the_per_triple_loop(gamma, include_zero):
-    # every window start, ending one or two heads later, mid-row, just past
-    # a row, or at the end: the row kernel's keys, flags and insertion order
-    # equal the per-triple loop's
+    # every window start, ending one or two ranks later, halfway, or at the
+    # end: the row kernel's keys, flags and insertion order equal the
+    # per-triple loop's
     ratios = build_pool(gamma, include_zero=include_zero).ratios
     items = _per_triple_items(ratios)
-    M, total = len(ratios), len(items)
-    zero_sum = _zero_sum_ranks(ratios)
+    M = len(ratios)
+    zero_sum = [i for i, _ in _zero_sum_items(ratios, items)]
     # with the zero ratio the pool holds mirror sets {-a, 0, a}
     assert bool(zero_sum) == include_zero
-    windows = {(lo, min(hi, total)) for lo in range(total) for hi in (lo + 1, lo + 2, lo + M // 2, lo + M + 1, total)}
-    for r in zero_sum:  # the zero-sum head first, last, or just outside the window
-        windows |= {(max(0, r - 3), r), (max(0, r - 3), r + 1), (r, r + 3), (r + 1, min(total, r + 4))}
+    windows = {(lo, min(hi, M)) for lo in range(M) for hi in (lo + 1, lo + 2, lo + M // 2, M)}
+    for r in zero_sum:  # the zero-sum head's rank first, last, or just outside the window
+        windows |= {(max(0, r - 3), r), (max(0, r - 3), r + 1), (r, min(M, r + 3)), (r + 1, min(M, r + 4))}
     for lo, hi in sorted(windows):
-        assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == items[lo:hi], (lo, hi)
+        assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == _in_window(items, lo, hi), (lo, hi)
 
 
 def test_row_kernel_flags_zero_sum_sets_without_zero():
@@ -353,11 +344,12 @@ def test_row_kernel_flags_zero_sum_sets_without_zero():
     # general position, each at the edge of a window
     ratios = build_pool(109, include_zero=False).ratios
     items = _per_triple_items(ratios)
-    zero_sum = _zero_sum_ranks(ratios)
-    assert [items[r][1] for r in zero_sum] == [FLAG_GP | FLAG_ZERO_SUM] * 4
-    for r in zero_sum:
-        for lo, hi in [(r, r + 1), (r - 5, r + 1), (r, r + 70), (r + 1, r + 2)]:
-            assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == items[lo:hi]
+    M = len(ratios)
+    zero_sum = _zero_sum_items(ratios, items)
+    assert [flags for _, (_, flags) in zero_sum] == [FLAG_GP | FLAG_ZERO_SUM] * 4
+    for r, _ in zero_sum:
+        for lo, hi in [(r, r + 1), (max(0, r - 5), r + 1), (r, M), (r + 1, r + 2)]:
+            assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == _in_window(items, lo, hi)
 
 
 def test_ratio_class_holds_both_indices_of_its_sum():
@@ -555,7 +547,8 @@ def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, fresh_pool, n,
         assert len(items) == 2  # the case holds sets
     assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
     ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
-    for stop_after in (3, 17):
+    # a rank is an outer index, one chunk each: stop early, and before the last
+    for stop_after in (3, len(pool.ratios) - 1):
         assert not run_enumeration(ckpt, pool, stop_after_ranges=stop_after)[1]
         assert list(run_enumeration(ckpt, pool)[0].items()) == items
 
@@ -589,14 +582,64 @@ def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
 
 
 @cache
+def _naive_survivors(n, ratios):
+    return list(_naive_reference(n, ratios, 0, len(ratios)))
+
+
+@cache
 def _whole_space_reference(n, ratios):
     """Per mode, {key: flags} of every head of the naive product in the
     mode's order, without the i1 < i2 cut: what the whole space must give."""
-    survivors = list(_naive_reference(n, ratios, 0, len(ratios) ** n))
     return {
-        mode: {key: flags for _, idx, key, flags in survivors if all(map(_HEAD_ORDER[mode], idx, idx[1:]))}
+        mode: {
+            key: flags
+            for _, idx, key, flags in _naive_survivors(n, ratios)
+            if all(map(_HEAD_ORDER[mode], idx, idx[1:]))
+        }
         for mode in MODES
     }
+
+
+_INDEX_CASES = [(3, lambda: build_pool(25)), *_DEDUP_CASES]
+
+
+@pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
+def test_one_rank_holds_its_outer_index_heads(n, make_pool):
+    # process_range(i, i + 1) gives exactly the first finds, with their
+    # flags and in their order, of the naive reference's heads whose
+    # outermost pool index is i and which are in the mode's order
+    ratios = make_pool().ratios
+    survivors = _naive_survivors(n, ratios)
+    assert survivors  # the case holds sets
+    for mode in MODES:
+        for i in range(len(ratios)):
+            want = {}
+            for rank, idx, key, flags in survivors:
+                if rank == i and _in_head_order(mode, idx) and key not in want:
+                    want[key] = flags
+            got = process_range(n, ratios, mode, i, i + 1).found
+            assert list(got.items()) == list(want.items()), (mode, i)
+
+
+# n = 5 multiset and subset mode prune every head at Gamma = 41 before the leaf
+@pytest.mark.parametrize("n, mode", [(4, MODE_ORDERED), (4, MODE_MULTISET), (4, MODE_SUBSET), (5, MODE_ORDERED)])
+def test_the_walk_tries_only_heads_in_the_mode_order(monkeypatch, n, mode):
+    # every head the leaf solves has i1 < i2 and, in multiset and subset
+    # mode, indices in the mode's order: heads outside it are never tried,
+    # not only never kept
+    ratios = _pool_ratios(41)
+    h, _ = _over_lcm(ratios)
+    index = {v: i for i, v in enumerate(h)}
+    tried = []
+
+    def recording_solve_x_scaled(nums):
+        tried.append(tuple(index[v] for v in nums))
+        return solve_x_scaled(nums)
+
+    monkeypatch.setattr(rds_search, "solve_x_scaled", recording_solve_x_scaled)
+    process_range(n, ratios, mode, 0, len(ratios))
+    assert tried
+    assert all(idx[0] < idx[1] and _in_head_order(mode, idx) for idx in tried)
 
 
 @settings(max_examples=40, deadline=None)
@@ -607,7 +650,7 @@ def test_whole_space_matches_the_uncut_naive_product(case, data):
     # swap loses no set
     n, make_pool = case
     ratios = make_pool().ratios
-    total = len(ratios) ** n
+    total = total_ranks(MODE_ORDERED, len(ratios), n)
     cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=12)))
     want = _whole_space_reference(n, ratios)
     assert want[MODE_ORDERED]  # the case holds sets
@@ -668,7 +711,7 @@ def test_checkpoint_stop_and_resume(tmp_path):
         assert not (tmp_path / "search.ckpt.partial").exists()
 
 
-@pytest.mark.parametrize("n, gamma, stop_after", [(3, 65, 5), (4, 25, 40)])
+@pytest.mark.parametrize("n, gamma, stop_after", [(3, 65, 5), (4, 25, 10)])
 def test_checkpoint_counts_match_the_sidecar(tmp_path, n, gamma, stop_after):
     # the running counts after each chunk equal a recount of the sidecar
     pool = build_pool(gamma)
@@ -720,7 +763,7 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
 
 def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
     # a checkpoint over the C(M + n - 1, n) lexicographic multiset ranks
-    # must not resume in the M^n rank space that every mode shares
+    # must not resume in the rank space that every mode shares
     pool = build_pool(25)
     ckpt = tmp_path / "old.ckpt"
     cfg = SearchConfig(
@@ -764,6 +807,9 @@ _BAD_RANK = "next_rank .* is out of range"
         # schema 1 was written by the kernel that tried both heads of a
         # psi_1 <-> psi_2 swap: its chunks' finds are not this kernel's
         (lambda p: json.dumps({**p, "schema_version": 1}), "^unsupported checkpoint schema 1$"),
+        # schema 2 ranked every head (C(M,3) for n = 3, M^n for n >= 4):
+        # its next_rank is not a count of outer indices
+        (lambda p: json.dumps({**p, "schema_version": 2}), "^unsupported checkpoint schema 2$"),
         (
             lambda p: json.dumps({**p, "output_offset": p["output_offset"] + 1}),
             "shorter than recorded offset",
@@ -781,6 +827,7 @@ _BAD_RANK = "next_rank .* is out of range"
         "missing-key",
         "schema-version",
         "schema-1-kernel",
+        "schema-2-kernel",
         "offset-past-sidecar-end",
     ],
 )
