@@ -64,6 +64,7 @@ _MODE_HELP = (
     "heads tried: ordered, all (for n >= 4 one per psi_1 <-> psi_2 swap, which gives the same sets); "
     "multiset, pool indices never decrease; subset, they strictly increase"
 )
+_WORKERS_HELP = "worker processes for n >= 4 (default: RDS_WORKERS or 1); n = 3 always runs in one process"
 
 
 def _default_workers() -> int:
@@ -251,7 +252,7 @@ def _cmd_count(args) -> int:
         reports(),
         args,
         kind="count",
-        config={"n": args.n, "mode": _MODE_BY_FLAG[args.mode]},
+        config={"n": args.n, "mode": _MODE_BY_FLAG[args.mode], "include_zero": not args.no_zero},
     )
     return 0
 
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="annotate: emit every set with its general_position flag; "
         "require: emit only sets in general position",
     )
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
     p.add_argument("--checkpoint", help="checkpoint path for kill/resume")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p)
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma-list", required=True, help="comma-separated bounds, e.g. 25,29,41")
     p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
     p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (JSONL)")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p, default_format="csv")
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="bundled reference regression; exit 1 on mismatch")
     p.add_argument("--errata", action="store_true", help="print recomputed values and failing arithmetic")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_tables)
 
     return parser

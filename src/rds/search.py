@@ -48,13 +48,17 @@ the chunk, since a worker cannot see that map.
 
 The runner splits the remaining ranks into contiguous chunks and reads
 their results in rank order through one loop, whether the chunks run in
-this process or on a process pool.  A process keeps one pool for its
-whole life: the first multi-worker run starts it, later runs with the same
-worker count reuse it, and another count or a failure inside the pool
-replaces it.  A chunk sent to the pool is the pool's integer numerators
-and a rank range, so the workers build no ``Fraction``.  Each chunk's
-keys are folded into the found map and, with a checkpoint path, committed
-before the next chunk is read; stopping early, by request or by an
+this process or on a process pool.  n = 3 chunks always run in this
+process, whatever the worker count: every n = 3 head is a set and the
+runner keeps every key, so receiving a key from a worker costs at least
+as much as building it here.  The pool serves only the n >= 4 kernels,
+which find far fewer sets than the heads they try.  A process keeps one
+pool for its whole life: the first multi-worker n >= 4 run starts it,
+later runs with the same worker count reuse it, and another count or a
+failure inside the pool replaces it.  A chunk sent to the pool is the
+pool's integer numerators and a rank range, so the workers build no
+``Fraction``.  Each chunk's keys are folded into the found map and, with
+a checkpoint path, committed before the next chunk is read; stopping early, by request or by an
 interrupt, leaves the checkpoint at the last committed chunk.  A worker
 watches the process that started the pool and exits when it is gone, even
 if that process died without shutting the pool down.  ``search`` runs all
@@ -364,8 +368,8 @@ _pool: tuple | None = None
 def _worker_pool(workers: int):
     """The process's pool of ``workers`` processes, kept between runs.
 
-    It is started on the first multi-worker chunk loop and replaced when a
-    run asks for another worker count; the old pool's threads are joined
+    It is started on the first chunk loop sent to a pool and replaced when
+    a run asks for another worker count; the old pool's threads are joined
     before the new one forks its workers.  The workers are forked with a
     pipe whose write end only this process keeps open (see
     ``_worker_init``).
@@ -445,6 +449,12 @@ def _chunk_results(
 ) -> Iterator[Partial]:
     """Each chunk's Partial, in rank order: in this process, or on the pool.
 
+    n = 3 chunks always run in this process, whatever the worker count:
+    every n = 3 head yields a key and the runner keeps every key, so
+    receiving a key from a worker costs the runner at least as much as
+    building it.  The pool serves the n >= 4 kernels, which find far fewer
+    sets than the heads they try.
+
     A chunk run in this process sees ``found``, the run's map as the caller
     has folded it so far, and returns only keys new to the run.  A chunk
     sent to the pool is the pool's integer numerators and its rank range.
@@ -453,7 +463,7 @@ def _chunk_results(
     run's queued chunks and keeps the pool; a failure while waiting
     discards it.
     """
-    if config.workers == 1 or len(chunks) <= 1:
+    if config.workers == 1 or config.n == 3 or len(chunks) <= 1:
         for lo, hi in chunks:
             yield process_range(config.n, ratios, config.enumeration_mode, lo, hi, known=found)
         return

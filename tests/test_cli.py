@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, records, determinism, checkpoints."""
 
+import hashlib
 import json
 import os
 import signal
@@ -194,6 +195,25 @@ def test_count_csv_matches_reference_layout(capsys):
     assert out.splitlines() == ["gamma,theta_gp,theta_all", "25,672,680", "29,1320,1330"]
 
 
+def test_count_envelope_echoes_no_zero(capsys):
+    argv = ["count", "--n", "3", "--gamma-list", "25", "--format", "jsonl"]
+    with_zero = json.loads(run_cli(capsys, *argv)[1].splitlines()[0])
+    without = json.loads(run_cli(capsys, *argv, "--no-zero")[1].splitlines()[0])
+    assert with_zero["config"] == {"n": 3, "mode": "ordered_dedup", "include_zero": True}
+    assert without["config"] == {"n": 3, "mode": "ordered_dedup", "include_zero": False}
+
+
+def test_count_csv_keeps_the_bench_digest(capsys):
+    # the 16-bound n = 3 count on 2 workers: the sha256 of its stdout that
+    # bench/workloads.py checks, so the echo reaches JSONL only
+    gammas = "25,29,41,53,61,65,73,85,89,97,101,109,113,125,137,145"
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--gamma-list", gammas, "--workers", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e2d9a497251af82bdb76b78361461f2b8ec5217ad73df38ae1436c49ca67186"
+    )
+
+
 def test_density_probe_single_and_missing(capsys):
     code, out, _ = run_cli(capsys, "density-probe", "--lo", "1/2", "--hi", "11/20", "--gamma-cap", "25")
     assert code == 0
@@ -322,11 +342,55 @@ def _communicate(proc):
         raise
 
 
+def _run_count_script(exit_call):
+    """Run an n = 4 count on 2 workers in a fresh interpreter of its own
+    session; it prints the pool's worker pids to stderr, then ends with
+    ``exit_call``.  Returns (process, stdout, worker pids)."""
+    script = (
+        "import os, sys\n"
+        "import rds.cli, rds.search\n"
+        "rc = rds.cli.main(['count', '--n', '4', '--gamma-list', '25,29,41', '--workers', '2'])\n"
+        "pids = [p.pid for p in rds.search._pool[1]._processes.values()]\n"
+        "print(*pids, file=sys.stderr, flush=True)\n"
+        f"{exit_call}\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    out, err = _communicate(proc)
+    return proc, out, [int(p) for p in err.splitlines()[-1].split()] if proc.returncode == 0 else []
+
+
+# the 1-worker output of ``rds count --n 4 --gamma-list 25,29,41``
+_N4_COUNT_CSV = "gamma,theta_gp,theta_all\n25,16,156\n29,36,321\n41,40,859\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_count_on_workers_leaves_no_process_behind():
-    proc = _rds_session("count", "--n", "3", "--gamma-list", "25,29,41", "--workers", "2")
-    out, _ = _communicate(proc)
+    # the pipes closed, so every worker that held them has exited
+    proc, out, pids = _run_count_script("sys.exit(rc)")
     assert proc.returncode == 0
+    assert out == _N4_COUNT_CSV
+    assert len(pids) == 2 and not any(map(_alive, pids))
+
+
+def test_n3_count_on_workers_starts_no_process(capsys, monkeypatch):
+    import concurrent.futures
+
+    import rds.search
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("an n = 3 count started a process pool")
+
+    rds.search._discard_pool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--gamma-list", "25,29,41", "--workers", "2")
+    assert code == 0
     assert out == "gamma,theta_gp,theta_all\n25,672,680\n29,1320,1330\n41,3640,3654\n"
+    assert rds.search._pool is None
 
 
 def test_ctrl_c_on_workers_exits_130():
@@ -503,23 +567,10 @@ def _alive(pid):
 def test_workers_exit_when_the_parent_dies_without_shutdown():
     import time
 
-    script = (
-        "import os, sys\n"
-        "import rds.cli, rds.search\n"
-        "rc = rds.cli.main(['count', '--n', '3', '--gamma-list', '25,29,41', '--workers', '2'])\n"
-        "pids = [p.pid for p in rds.search._pool[1]._processes.values()]\n"
-        "print(*pids, flush=True)\n"
-        "os._exit(rc)  # no atexit hook, no pool shutdown\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
-    )
-    out, _ = _communicate(proc)
+    # no atexit hook, no pool shutdown
+    proc, out, pids = _run_count_script("os._exit(rc)")
     assert proc.returncode == 0
-    pids = [int(p) for p in out.splitlines()[-1].split()]
+    assert out == _N4_COUNT_CSV
     assert len(pids) == 2
     deadline = time.monotonic() + 20
     while any(map(_alive, pids)) and time.monotonic() < deadline:

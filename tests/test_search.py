@@ -2,6 +2,7 @@
 
 import json
 import operator
+import os
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -463,7 +464,9 @@ def fresh_pool():
     _discard_pool()
 
 
-def test_one_process_pool_serves_every_bound(fresh_pool, monkeypatch):
+@pytest.fixture
+def executors_made(monkeypatch):
+    """Every ``ProcessPoolExecutor`` started while the test runs."""
     import concurrent.futures
 
     made = []
@@ -474,13 +477,35 @@ def test_one_process_pool_serves_every_bound(fresh_pool, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    return made
+
+
+def test_one_process_pool_serves_every_bound(fresh_pool, executors_made):
+    made = executors_made
     for gamma in (25, 29, 41):
-        count_solutions(SearchConfig(n=3, gamma_bound=gamma, workers=2), build_pool(gamma))
+        count_solutions(SearchConfig(n=4, gamma_bound=gamma, workers=2), build_pool(gamma))
     assert len(made) == 1
     # another worker count replaces the pool
-    report = count_solutions(SearchConfig(n=3, gamma_bound=25, workers=3), build_pool(25))
-    assert report.theta_all == 680
+    report = count_solutions(SearchConfig(n=4, gamma_bound=25, workers=3), build_pool(25))
+    assert report.theta_all == 156
     assert len(made) == 2 and rds_search._pool[1] is made[1]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_n3_runs_in_this_process_on_any_worker_count(tmp_path, fresh_pool, executors_made, workers):
+    # every n = 3 head is a set, so its keys are built where they are kept:
+    # no executor, no pool, and the 1-worker items in the 1-worker order
+    pool = build_pool(25)
+    one = SearchConfig(n=3, gamma_bound=25)
+    cfg = replace(one, workers=workers)
+    items = list(run_enumeration(one, pool)[0].items())
+    assert list(run_enumeration(cfg, pool)[0].items()) == items
+    assert count_solutions(cfg, pool).theta_all == len(items) == 680
+    assert list(search(cfg, pool)) == list(search(one, pool))
+    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
+    assert not run_enumeration(ckpt, pool, stop_after_ranges=3)[1]
+    assert list(run_enumeration(ckpt, pool)[0].items()) == items
+    assert executors_made == [] and rds_search._pool is None
 
 
 def test_pool_is_kept_after_an_early_stop(fresh_pool):
@@ -499,17 +524,23 @@ def test_pool_is_kept_after_an_early_stop(fresh_pool):
 
 
 def test_a_failed_chunk_discards_the_pool(fresh_pool, monkeypatch):
+    runner = os.getpid()
+    scan_blocks = rds_search._scan_blocks
+
     def failing_scan(*args):
-        raise ValueError("chunk failed")
+        # fails only in a pool worker, so the run fails only if a chunk ran there
+        if os.getpid() != runner:
+            raise ValueError("chunk failed")
+        return scan_blocks(*args)
 
     # the pool's workers are forked after the patch, so they run it
-    monkeypatch.setattr(rds_search, "_scan_triples", failing_scan)
-    cfg = SearchConfig(n=3, gamma_bound=25, workers=2)
+    monkeypatch.setattr(rds_search, "_scan_blocks", failing_scan)
+    cfg = SearchConfig(n=4, gamma_bound=25, workers=2)
     with pytest.raises(ValueError, match="chunk failed"):
         count_solutions(cfg, build_pool(25))
     assert rds_search._pool is None
     monkeypatch.undo()
-    assert count_solutions(cfg, build_pool(25)).theta_all == 680
+    assert count_solutions(cfg, build_pool(25)).theta_all == 156
 
 
 # --- the run's map in serial chunks ------------------------------------------
@@ -535,10 +566,11 @@ def _n5_pool():
 
 
 _DEDUP_CASES = [(4, lambda: build_pool(25)), (5, _n5_pool)]
+_INDEX_CASES = [(3, lambda: build_pool(25)), *_DEDUP_CASES]
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
+@pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
 def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, fresh_pool, n, make_pool, mode):
     pool = make_pool()
     cfg = SearchConfig(n=n, gamma_bound=pool.gamma_bound, enumeration_mode=mode)
@@ -598,9 +630,6 @@ def _whole_space_reference(n, ratios):
         }
         for mode in MODES
     }
-
-
-_INDEX_CASES = [(3, lambda: build_pool(25)), *_DEDUP_CASES]
 
 
 @pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
