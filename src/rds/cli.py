@@ -320,7 +320,7 @@ def _cmd_growth(args) -> int:
 def _cmd_tables(args) -> int:
     from .reference import tables_regression  # only this command reads the bundled tables
 
-    lines, ok = tables_regression(errata_detail=args.errata, workers=args.workers)
+    lines, ok = tables_regression(errata_detail=args.errata)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rds",
         description="Construct, verify, enumerate and count rational distance sets on y = x^2.",
-        epilog="Environment: RDS_WORKERS sets the default for --workers; NO_COLOR is honored.",
+        epilog="Environment: RDS_WORKERS sets the default for --workers of search and count; NO_COLOR is honored.",
     )
     parser.add_argument("--version", action="version", version=f"rds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="bundled reference regression; exit 1 on mismatch")
     p.add_argument("--errata", action="store_true", help="print recomputed values and failing arithmetic")
-    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_tables)
 
     return parser

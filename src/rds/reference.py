@@ -215,14 +215,12 @@ class CountCheck:
         )
 
 
-def run_count_checks(workers: int = 1) -> list[CountCheck]:
+def run_count_checks() -> list[CountCheck]:
     """Re-establish the n = 3 count table by search and closed form."""
     checks = []
     for gamma, ref_gp, ref_all in COUNT_TABLE_N3:
         pool = build_pool(gamma)
-        report = count_solutions(
-            SearchConfig(n=3, gamma_bound=gamma, workers=workers), pool
-        )
+        report = count_solutions(SearchConfig(n=3, gamma_bound=gamma), pool)
         closed = comb(4 * pool.primitive_count + 1, 3)
         expected_delta = (
             GP_EXTRA_EXCLUSIONS if gamma >= GP_EXTRA_EXCLUSIONS_FROM else 0
@@ -247,7 +245,7 @@ def run_count_checks(workers: int = 1) -> list[CountCheck]:
     return checks
 
 
-def tables_regression(errata_detail: bool = False, workers: int = 1) -> tuple[list[str], bool]:
+def tables_regression(errata_detail: bool = False) -> tuple[list[str], bool]:
     """Run the whole bundled-data regression; returns (report lines, ok)."""
     lines = []
     ok = True
@@ -278,7 +276,7 @@ def tables_regression(errata_detail: bool = False, workers: int = 1) -> tuple[li
                     lines.append(f"    {note}")
 
     lines.append("solution counts, n=3")
-    checks = run_count_checks(workers=workers)
+    checks = run_count_checks()
     for check in checks:
         ok &= check.ok
         tag = "PASS" if check.ok else "FAIL"

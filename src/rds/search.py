@@ -15,24 +15,30 @@ range of whole outer indices:
   only heads whose indices strictly increase.
 
 Solutions are deduplicated by their canonical key, so worker count and
-partition boundaries never affect the result.  A key is the ascending
-tuple of integers x_i * L, where L = 2 * lcm(pool denominators) is one
-denominator for the whole pool: every abscissa solved from pool ratios is
-an integer over L.  L stays small: a pool denominator is a leg
-(m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so every prime power in it
-is at most 2 sqrt(Gamma), and L divides 2 * lcm(1..2 sqrt(Gamma)), which
-has O(sqrt(Gamma)) bits (L has 17 bits at Gamma = 65, 65 at 1001).
-Integer tuples of one positive
-denominator compare as their abscissae do, so ``search`` sorts the keys
-natively and hands each to the distance oracle as integers over L.
+partition boundaries never affect the result.  A key is one ``int`` for
+every n and mode: the ascending abscissae x_i * L, where
+L = 2 * lcm(pool denominators) is one denominator for the whole pool
+(every abscissa solved from pool ratios is an integer over L), each
+biased by 2^(w-1) into an unsigned field of w bits and packed from the
+highest field down (``_KeyCodec``).  L stays small: a pool denominator is
+a leg (m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so every prime power
+in it is at most 2 sqrt(Gamma), and L divides 2 * lcm(1..2 sqrt(Gamma)),
+which has O(sqrt(Gamma)) bits (L has 17 bits at Gamma = 65, 65 at 1001).
+The width is w = bit_length(5 * max|h|) + 1, for h the pool's numerators
+over L / 2: each entry of the closed form is +-h_1 +- h_2 + h_n or
+-h_1 - h_2 + h_n + 2 h_k, so |x_i * L| <= 5 * max|h| < 2^(w-1).  Every
+field then lies in [0, 2^w), so packed keys compare as the tuples of
+their fields do, and those as the abscissae do: ``search`` sorts the ints
+natively and decodes each key, just before the distance oracle reads it
+as integers over L.
 Dependent (tail) ratios follow ``solver.complete_psi``'s formula and are
 tested exactly, without the pool's hypotenuse cap.
 
 The kernels work in integers, on the pool's numerators over L / 2; the
-closed form (``solver.solve_x_scaled``) on those gives a key with no
-division.  For n = 3, x is linear in psi_3 once psi_1 and psi_2 are fixed,
-so the kernel builds a row of keys at a time from three shifted copies of
-the pool.  For n >= 4, most tail entries have the form
+closed form (``solver.solve_x_scaled``) on those gives x * L with no
+division.  For n = 3 the packed key is linear in the head, so the kernel
+builds a row of keys at a time, one integer add per set, from weighted
+copies of the pool.  For n >= 4, most tail entries have the form
 psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
 psi_2 lie in every membership set
 R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
@@ -79,7 +85,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
@@ -173,7 +179,7 @@ class Partial:
     """Results of one contiguous rank range."""
 
     rank_hi: int
-    found: dict[tuple[int, ...], int]  # canonical key -> flag bits
+    found: dict[int, int]  # packed canonical key -> flag bits
 
 
 def total_ranks(mode: str, pool_size: int, n: int) -> int:
@@ -199,14 +205,64 @@ def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
     """L = 2 * lcm(denominators of ratios).
 
     Every abscissa ``solve_x`` makes from a head of these ratios is half a
-    signed sum of head entries, so x * L is an integer; a canonical key is
-    the ascending tuple of those integers.
+    signed sum of head entries, so x * L is an integer; a canonical key
+    packs the ascending tuple of those integers.
     """
     return 2 * math.lcm(*(r.denominator for r in ratios))
 
 
+def _key_width(h: Sequence[int]) -> int:
+    """The field width w of the keys of a pool with numerators ``h`` over L / 2.
+
+    Each closed-form entry is +-h_1 +- h_2 + h_n or -h_1 - h_2 + h_n + 2 h_k,
+    so every x * L solved from the pool has |x * L| <= 5 * max|h| < 2^(w-1).
+    """
+    return (5 * max(map(abs, h), default=0)).bit_length() + 1
+
+
+class _KeyCodec:
+    """Canonical keys of n integers packed into one int of n w-bit fields.
+
+    Each integer v, with |v| < 2^(w-1), is stored as v + 2^(w-1), which lies
+    in [0, 2^w); the first integer takes the highest field.  Fields of a
+    fixed width compare from the highest down, so packed ints sort as the
+    tuples do.  ``pack`` is linear in its integers: a key is
+    sum(v_i << shifts[i]) + offset, with every field's bias in offset.
+    """
+
+    __slots__ = ("n", "width", "bias", "mask", "shifts", "offset")
+
+    def __init__(self, n: int, width: int) -> None:
+        self.n = n
+        self.width = width
+        self.bias = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * (n - 1 - i) for i in range(n))
+        self.offset = sum(self.bias << s for s in self.shifts)
+
+    def pack(self, x: Iterable[int]) -> int:
+        key, width = 0, self.width
+        for v in x:
+            key = (key << width) + v
+        return key + self.offset
+
+    def unpack(self, key: int) -> list[int]:
+        mask, bias = self.mask, self.bias
+        return [(key >> s & mask) - bias for s in self.shifts]
+
+    def fits(self, v: int) -> bool:
+        """Whether v has a field of its own: |v| < 2^(w-1)."""
+        return -self.bias < v < self.bias
+
+
+def _key_codec(n: int, ratios: tuple[Fraction, ...]) -> _KeyCodec:
+    """The codec of the n-point keys of a pool of ``ratios``."""
+    return _KeyCodec(n, _key_width(_over_lcm(ratios)[0]))
+
+
 def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
-    """Flag bits of abscissae, or of a key: both tests are sign tests of sums."""
+    """Flag bits of abscissae, or of a decoded key: both tests are sign
+    tests of sums."""
     flags = FLAG_GP if check_general_position(x) else 0
     if len(x) == 3 and sum(x) == 0:
         flags |= FLAG_ZERO_SUM
@@ -220,28 +276,33 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
     ``h`` holds the pool's numerators over L / 2.  Distinct head entries
     force distinct x (pairwise x differences are pairwise psi differences),
     so no distinctness check is needed; and with p < q < r the solved x
-    come out already sorted ascending, as the key.  The scan runs row
-    (i, j) by row.  Within a row x is linear in r:
-    x(p, q, r) = x(p, q, 0) + r * (-1, 1, 1), so a row's keys are three
-    shifted copies of its slice of ``h``, stored with FLAG_GP.  The x sum
-    to (p + q + r) / 2, and pool values are distinct, so a row holds at
-    most one zero-sum head, r = -(p + q); only its key goes through
-    ``_flags_of_x``, in place, so the insertion order stays head order.
+    come out already sorted ascending, as the key packs them.  x is linear
+    in the head and a key is linear in x, so
+    key(p, q, r) = p * K_p + q * K_q + r * K_r + offset.  The scan runs row
+    (i, j) by row: with base = h_i * K_p + offset + h_j * K_q from weighted
+    copies of ``h``, a row's keys are base plus each entry of its slice of
+    h * K_r, stored with FLAG_GP.  The x sum to (p + q + r) / 2, and pool
+    values are distinct, so a row holds at most one zero-sum head,
+    r = -(p + q); only its x go through ``_flags_of_x``, and its key is
+    re-stored in place, so the insertion order stays head order.
     """
     M = len(h)
     index = {v: t for t, v in enumerate(h)}
+    codec = _KeyCodec(3, _key_width(h))
+    # K_p, K_q, K_r: the keys of the unit heads, less the offset
+    kp, kq, kr = (codec.pack(solve_x_scaled(e)) - codec.offset for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    hp = [v * kp + codec.offset for v in h]
+    hq = [v * kq for v in h]
+    hr = [v * kr for v in h]
     flags_gp = repeat(FLAG_GP)
     for i in range(lo, hi):
-        hp = h[i]
         for j in range(i + 1, M - 1):
-            hq = h[j]
-            a, b, c = solve_x_scaled((hp, hq, 0))
-            row = h[j + 1 :]
-            found.update(zip(zip(map(a.__sub__, row), map(b.__add__, row), map(c.__add__, row)), flags_gp))
-            hr = -hp - hq
-            if index.get(hr, -1) > j:
-                key = (a - hr, b + hr, c + hr)
-                found[key] = _flags_of_x(key)
+            base = hp[i] + hq[j]
+            found.update(zip(map(base.__add__, hr[j + 1 :]), flags_gp))
+            r = -h[i] - h[j]
+            k = index.get(r, -1)
+            if k > j:
+                found[base + hr[k]] = _flags_of_x(solve_x_scaled((h[i], h[j], r)))
 
 
 def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
@@ -280,15 +341,16 @@ def _scan_blocks(
     over the candidates before i2, and tests case 3 (n >= 5) per head.
     Every test and the closed form run on ``h``, the pool's numerators
     over ``half`` = L / 2, so a survivor's key comes out over L with no
-    division.  A key in neither ``found`` nor ``known`` (the keys the run
-    already holds) takes its flags from ``solve_x`` on that integer head,
-    whose x are the true x times L / 2 > 0; both flag tests are sign tests
-    of sums.
+    division, and is packed by the pool's ``_KeyCodec``.  A key in neither
+    ``found`` nor ``known`` (the keys the run already holds) takes its
+    flags from ``solve_x`` on that integer head, whose x are the true x
+    times L / 2 > 0; both flag tests are sign tests of sums.
     """
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
     sub_pairs = indices_set(n - 3) if n >= 5 else []
     classes: dict[int, set[int]] = {}  # R(S) by the sum S
+    pack = _KeyCodec(n, _key_width(h)).pack
 
     def leaf(outer: list[int], members: list[int]) -> None:
         outer_nums = [h[k] for k in outer]
@@ -304,10 +366,10 @@ def _scan_blocks(
                     ):
                         continue
                 x = solve_x_scaled(nums)
-                if not check_distinct(x):
-                    continue
-                key = tuple(sorted(x))
-                if key not in found and key not in known:
+                # most keys are known, so test distinctness only on new ones:
+                # an x with a repeat packs to a key no set has
+                key = pack(sorted(x))
+                if key not in found and key not in known and check_distinct(x):
                     found[key] = _flags_of_x(solve_x(nums))
 
     def walk(outer: list[int], candidates: set[int]) -> None:
@@ -352,7 +414,7 @@ def _scan_range(
 ) -> Partial:
     """``process_range`` on the pool's numerators ``h`` over ``half``; what a
     pool worker runs, so that a chunk ships integers only."""
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[int, int] = {}
     if hi > lo:
         if n == 3:
             _scan_triples(h, lo, hi, found)
@@ -445,7 +507,7 @@ def _chunk_results(
     config: SearchConfig,
     ratios: tuple[Fraction, ...],
     chunks: list[tuple[int, int]],
-    found: dict[tuple[int, ...], int],
+    found: dict[int, int],
 ) -> Iterator[Partial]:
     """Each chunk's Partial, in rank order: in this process, or on the pool.
 
@@ -499,25 +561,31 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _sidecar_key(line: bytes, n: int, den: int) -> tuple[int, ...]:
-    """One sidecar line's key: a JSON object whose "x" lists n strings of
-    pairwise-distinct rationals, each an integer over the key denominator
-    den; any other line is corrupt."""
+def _sidecar_key(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
+    """One sidecar line's key, decoded: a JSON object whose "x" lists n
+    strings of pairwise-distinct rationals, each an integer over the key
+    denominator den that fits a field of ``codec``; any other line is
+    corrupt.  A value too wide for its field would spill into its
+    neighbour and could pack to another set's key."""
     try:
         strings = json.loads(line)["x"]
         if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
             xs = [parse_rat(s) for s in strings]
-            if len(xs) == n and check_distinct(xs) and all(den % v.denominator == 0 for v in xs):
-                return tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
+            if len(xs) == codec.n and check_distinct(xs) and all(den % v.denominator == 0 for v in xs):
+                x = tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
+                if all(map(codec.fits, x)):
+                    return x
+                raise CheckpointCorrupt(f"sidecar line {line!r} has a value outside the key field")
     except (ValueError, KeyError, TypeError, ZeroDenominator):
         pass
     raise CheckpointCorrupt(f"bad sidecar line {line!r}")
 
 
 def _load_checkpoint(
-    path: str, expected_echo: dict, den: int
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Return (next_rank, found) reconstructed from a checkpoint pair; keys over den."""
+    path: str, expected_echo: dict, den: int, codec: _KeyCodec
+) -> tuple[int, dict[int, int]]:
+    """Return (next_rank, found) reconstructed from a checkpoint pair; keys
+    over den, packed by ``codec``."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -542,7 +610,7 @@ def _load_checkpoint(
         raise CheckpointCorrupt(f"checkpoint next_rank {next_rank!r} is out of range")
     if not _is_int(offset) or offset < 0:
         raise CheckpointCorrupt(f"checkpoint output_offset {offset!r} is not a byte offset")
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[int, int] = {}
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar, "rb") as fh:
@@ -557,8 +625,8 @@ def _load_checkpoint(
     with open(sidecar, "r+b") as fh:
         fh.truncate(offset)
     for line in blob.splitlines():
-        key = _sidecar_key(line, expected_echo["n"], den)
-        found[key] = _flags_of_x(key)
+        x = _sidecar_key(line, codec, den)
+        found[codec.pack(x)] = _flags_of_x(x)
     return next_rank, found
 
 
@@ -577,11 +645,13 @@ def run_enumeration(
     config: SearchConfig,
     pool: RatioPool,
     stop_after_ranges: int | None = None,
-) -> tuple[dict[tuple[int, ...], int], bool]:
+) -> tuple[dict[int, int], bool]:
     """Enumerate the whole rank space, in chunks, optionally in parallel.
 
-    Returns (found, completed); found maps each canonical key (integers
-    over ``_key_denominator(pool.ratios)``) to its flag bits.
+    Returns (found, completed); found maps each canonical key to its flag
+    bits.  A key is an int that ``_key_codec(config.n, pool.ratios)``
+    decodes into the ascending abscissae over
+    ``_key_denominator(pool.ratios)``; the sidecar holds them decoded.
     ``stop_after_ranges`` halts after that many chunk boundaries in this
     call, which together with a checkpoint path models a kill/resume at a
     rank boundary.
@@ -590,12 +660,13 @@ def run_enumeration(
     echo = config.echo(pool)
     total = echo["total_ranks"]
     den = _key_denominator(pool.ratios)
+    codec = _key_codec(config.n, pool.ratios)
 
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[int, int] = {}
     start_rank = 0
     ckpt = config.checkpoint_path
     if ckpt and os.path.exists(ckpt):
-        start_rank, found = _load_checkpoint(ckpt, echo, den)
+        start_rank, found = _load_checkpoint(ckpt, echo, den, codec)
     elif ckpt:
         open(_sidecar_path(ckpt), "w").close()
     gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
@@ -619,7 +690,7 @@ def run_enumeration(
         if ckpt:
             with open(_sidecar_path(ckpt), "a", encoding="utf-8") as fh:
                 for k in fresh:
-                    xs = [format_over(v, den) for v in k]
+                    xs = [format_over(v, den) for v in codec.unpack(k)]
                     fh.write(json.dumps({"x": xs}) + "\n")
             offset = os.path.getsize(_sidecar_path(ckpt))
             gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
@@ -662,10 +733,13 @@ def search(config: SearchConfig, pool: RatioPool) -> Iterator[Solution]:
     """
     found, _ = run_enumeration(config, pool)
     den = _key_denominator(pool.ratios)
-    require = config.gp_filter == GP_REQUIRE
-    # keys are ascending integers over one den > 0: tuple order is x order
-    keys = sorted(k for k, flags in found.items() if flags & FLAG_GP or not require)
-    return (solution_from_x(key, den) for key in keys)
+    unpack = _key_codec(config.n, pool.ratios).unpack
+    # packed ints sort as their ascending x do; each is decoded only when read
+    if config.gp_filter == GP_REQUIRE:
+        keys = sorted(compress(found, map(FLAG_GP.__and__, found.values())))
+    else:
+        keys = sorted(found)
+    return (solution_from_x(unpack(key), den) for key in keys)
 
 
 def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
@@ -684,9 +758,10 @@ def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
         exclusions = {"mirror_zero": theta_all - theta_gp, "zero_sum_extra": by_flags[extra]}
         if by_flags[extra]:
             den = _key_denominator(pool.ratios)
+            unpack = _key_codec(3, pool.ratios).unpack
             extra_sets = [
-                tuple(Fraction(v, den) for v in k)
-                for k in sorted(k for k, f in found.items() if f == extra)
+                tuple(Fraction(v, den) for v in unpack(k))
+                for k in sorted(compress(found, map(extra.__eq__, found.values())))
             ]
     return CountReport(
         n=config.n,

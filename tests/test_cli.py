@@ -275,6 +275,14 @@ def test_gp_off_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_tables_takes_no_workers(capsys):
+    # tables counts only n = 3, which always runs in one process
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

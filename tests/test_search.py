@@ -1,5 +1,6 @@
 """Search orchestration: enumeration modes, dedup, partitioning, checkpoints."""
 
+import hashlib
 import json
 import operator
 import os
@@ -29,9 +30,13 @@ from rds.search import (
     partition_space,
     _discard_pool,
     _flags_of_x,
+    _KeyCodec,
+    _key_codec,
     _key_denominator,
+    _key_width,
     _load_checkpoint,
     _ratio_class,
+    _sidecar_key,
     pool_growth_report,
     process_range,
     run_enumeration,
@@ -156,9 +161,10 @@ def _naive_reference(n, ratios, lo, hi, keep=lambda idx: True):
     arithmetic.  Yields (rank, pool indices, key, flags) for every head
     whose solution is kept; a mode keeps those whose indices are in its
     head order.  The key is the sorted x times L = 2 * lcm(pool
-    denominators), which must be integral.
+    denominators), which must be integral, packed by the pool's codec.
     """
     L = 2 * lcm(*(r.denominator for r in ratios))
+    pack = _key_codec(n, ratios).pack
     M = len(ratios)
     if n == 3:
         heads = (idx for idx in combinations(range(M), 3) if lo <= idx[0] < hi)
@@ -176,7 +182,7 @@ def _naive_reference(n, ratios, lo, hi, keep=lambda idx: True):
         if check_distinct(x):
             scaled = [v * L for v in sorted(x)]
             assert all(v.denominator == 1 for v in scaled)
-            key = tuple(v.numerator for v in scaled)
+            key = pack(v.numerator for v in scaled)
             yield _outer(idx), idx, key, _flags_of_x(x)
 
 
@@ -302,12 +308,14 @@ def test_kernels_match_naive_reference(window):
 
 def _per_triple_items(ratios):
     """The n = 3 scan written one triple at a time: (i1, (key, flags)) of
-    every strictly increasing head, in head order."""
+    every strictly increasing head, in head order, the key packed from the
+    solved x."""
     h, _ = _over_lcm(ratios)
+    pack = _KeyCodec(3, _key_width(h)).pack
     items = []
     for idx in combinations(range(len(h)), 3):
-        key = tuple(solve_x_scaled([h[i] for i in idx]))
-        items.append((idx[0], (key, _flags_of_x(key))))
+        x = solve_x_scaled([h[i] for i in idx])
+        items.append((idx[0], (pack(x), _flags_of_x(x))))
     return items
 
 
@@ -384,6 +392,50 @@ def test_pool_heads_solve_to_integers_over_the_key_denominator(data):
     nums = [h[i] for i in idx]
     assert [Fraction(v, half) for v in nums] == head
     assert solve_x_scaled(nums) == scaled
+    # and each fits a field of the pool's keys
+    x = sorted(solve_x_scaled(nums))
+    codec = _KeyCodec(n, _key_width(h))
+    assert all(map(codec.fits, x))
+    assert codec.unpack(codec.pack(x)) == x
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("gamma", [25, 65, 145])
+def test_every_pool_head_fits_the_key_field(gamma, n):
+    # each x * L is a linear form in the head's numerators with
+    # coefficients +-1 and +-2, so its largest |value| over all heads of the
+    # pool is reached at a head made of the extreme entries +-max|h|: the
+    # heads over the two extremes, their neighbours and 0 bound every head
+    h, _ = _over_lcm(_pool_ratios(gamma))
+    codec = _KeyCodec(n, _key_width(h))
+    top = max(map(abs, h))
+    assert sorted(h)[:2] == [-v for v in sorted(h)[:-3:-1]] and 0 in h
+    extremes = sorted(h)[:2] + [0] + sorted(h)[-2:]
+    widest = 0
+    for head in product(extremes, repeat=n):
+        x = solve_x_scaled(head)
+        widest = max(widest, *map(abs, x))
+        assert all(map(codec.fits, x)), head
+        assert codec.unpack(codec.pack(sorted(x))) == sorted(x)
+    # the bound is met: 3 max|h| for n = 3, 5 max|h| (psi_n + 2 psi_k - psi_1 - psi_2) above
+    assert widest == (3 if n == 3 else 5) * top
+    assert 5 * top < codec.bias <= 10 * top
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 80), n=st.integers(1, 6), data=st.data())
+def test_packed_keys_round_trip_and_sort_as_tuples(w, n, data):
+    # any n integers with |v| < 2^(w-1), ascending or not: unpack inverts
+    # pack, every key holds n fields of w bits, and packed ints sort as
+    # the tuples do
+    bound = (1 << (w - 1)) - 1
+    entry = st.integers(-bound, bound)
+    tuples = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=20))
+    codec = _KeyCodec(n, w)
+    keys = [codec.pack(t) for t in tuples]
+    assert [codec.unpack(k) for k in keys] == tuples
+    assert all(0 <= k < 1 << (n * w) for k in keys)
+    assert [codec.unpack(k) for k in sorted(keys)] == sorted(tuples)
 
 
 # every rational in [-30, 30] with denominator <= 50, drawn by construction:
@@ -397,9 +449,16 @@ _sorted_sets = st.lists(_bounded_fractions, min_size=3, max_size=5, unique=True)
 @settings(max_examples=200, deadline=None)
 @given(sets=st.lists(_sorted_sets, min_size=2, max_size=30))
 def test_native_key_order_is_abscissa_order(sets):
+    # integer tuples over one L > 0 sort as their abscissae, and so do
+    # their packed ints, whatever the length
     L = 2 * lcm(*(v.denominator for x in sets for v in x))
     by_key = {tuple((v * L).numerator for v in x): tuple(x) for x in sets}
     assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
+    width = (2 * max(abs(v) for k in by_key for v in k)).bit_length() + 1
+    for n in (3, 4, 5):
+        pack = _KeyCodec(n, width).pack
+        by_packed = {pack(k): x for k, x in by_key.items() if len(k) == n}
+        assert [by_packed[k] for k in sorted(by_packed)] == sorted(by_packed.values())
 
 
 def test_emission_is_sorted_and_verified():
@@ -698,11 +757,44 @@ def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
     found, completed = run_enumeration(cfg, pool, stop_after_ranges=5)
     assert not completed and found
     den = _key_denominator(pool.ratios)
-    lines = [json.dumps({"x": [str(Fraction(v, den)) for v in k]}) for k in found]
+    codec = _key_codec(n, pool.ratios)
+    lines = [json.dumps({"x": [str(Fraction(v, den)) for v in codec.unpack(k)]}) for k in found]
     assert (tmp_path / "search.ckpt.partial").read_text() == "".join(line + "\n" for line in lines)
-    next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), den)
+    next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), den, codec)
     assert next_rank == json.loads(ckpt.read_text())["next_rank"]
     assert list(loaded.items()) == list(found.items())
+
+
+# sha256 of the sidecar after the first chunks, taken while keys were tuples
+@pytest.mark.parametrize(
+    "n, gamma, stop_after, workers, sha256",
+    [
+        (3, 65, 5, 1, "ef21757e806d8f8a981952150b484ee325e638ec139b7f1045455bf76f7bdd50"),
+        (4, 25, 5, 2, "a81a9738ca4c6042b2aa4d7ec00dea659ee1bf0667601fce8d27f406c6f895e8"),
+    ],
+)
+def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, fresh_pool, n, gamma, stop_after, workers, sha256):
+    # packing the keys changes no byte of a checkpoint, so schema 3 stays
+    ckpt = tmp_path / "search.ckpt"
+    cfg = SearchConfig(n=n, gamma_bound=gamma, workers=workers, checkpoint_path=str(ckpt))
+    assert not run_enumeration(cfg, build_pool(gamma), stop_after_ranges=stop_after)[1]
+    assert hashlib.sha256((tmp_path / "search.ckpt.partial").read_bytes()).hexdigest() == sha256
+    assert json.loads(ckpt.read_text())["schema_version"] == 3
+
+
+def test_resume_on_workers_writes_the_uninterrupted_bytes(tmp_path, fresh_pool):
+    from rds.cli import main
+
+    argv = ["search", "--n", "4", "--gamma-max", "25", "--workers", "2"]
+    ckpt = tmp_path / "run.ckpt"
+    cfg = SearchConfig(n=4, gamma_bound=25, workers=2, checkpoint_path=str(ckpt))
+    assert not run_enumeration(cfg, build_pool(25), stop_after_ranges=5)[1]
+    assert main(argv + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "resumed.jsonl")]) == 0
+    assert not ckpt.exists()
+    assert main(argv + ["--out", str(tmp_path / "whole.jsonl")]) == 0
+    whole = (tmp_path / "whole.jsonl").read_bytes()
+    assert whole.count(b"\n") == 157  # the envelope and 156 sets
+    assert (tmp_path / "resumed.jsonl").read_bytes() == whole
 
 
 def test_pool_mismatch_rejected():
@@ -894,6 +986,8 @@ def test_search_fails_at_the_call(tmp_path):
         b'{"x": ["1/0", "1/2", "3/4", "5/4"]}',
         b'{"x": ["\xff"]}',
         b'{"x": ["1/11", "1/2", "3/4", "5/4"]}',
+        b'{"x": ["1/2", "3/4", "5/4", "10"]}',
+        b'{"x": ["-10", "1/2", "3/4", "5/4"]}',
     ],
     ids=[
         "not-object",
@@ -903,6 +997,8 @@ def test_search_fails_at_the_call(tmp_path):
         "zero-denominator",
         "not-utf8",
         "not-over-key-denominator",  # 11 does not divide L = 1680 at gamma 25
+        "above-key-field",  # 10 * L = 16800 >= 2^14, the bias at gamma 25
+        "below-key-field",
     ],
 )
 def test_checkpoint_corrupt_sidecar_line(tmp_path, line):
@@ -917,6 +1013,22 @@ def test_checkpoint_corrupt_sidecar_line(tmp_path, line):
     ckpt.write_text(json.dumps(payload))
     with pytest.raises(CheckpointCorrupt):
         run_enumeration(cfg, pool)
+
+
+def test_sidecar_value_outside_the_key_field_is_corrupt():
+    # Gamma = 25: L = 1680 and max|h| = 2880 (24/7 over 840), so w = 15 and
+    # a field holds |x * L| < 2^14 = 16384; a wider value would spill into
+    # the next field up and could pack to another set's key
+    ratios = build_pool(25).ratios
+    den, codec = _key_denominator(ratios), _key_codec(4, ratios)
+    assert (den, codec.bias) == (1680, 1 << 14)
+    assert _sidecar_key(b'{"x": ["9", "1/2", "3/4", "-5/4"]}', codec, den) == (-2100, 840, 1260, 15120)
+    # 1023/105 and 1024/105 are 16368 and 16384 over L
+    line = b'{"x": ["%s", "1/2", "3/4", "5/4"]}'
+    assert _sidecar_key(line % b"-1023/105", codec, den) == (-16368, 840, 1260, 2100)
+    for v in (b"10", b"-10", b"1024/105", b"-1024/105"):
+        with pytest.raises(CheckpointCorrupt, match="outside the key field"):
+            _sidecar_key(line % v, codec, den)
 
 
 def test_zero_sum_breakdown_at_109():
