@@ -85,7 +85,13 @@ def _parse_gamma_list(text: str) -> list[int]:
         raise RdsError("--gamma-list is empty")
     if not all(s.strip() for s in items):
         raise RdsError(f"--gamma-list has an empty item: {text!r}")
-    return [int(s) for s in items]
+    gammas = []
+    for s in items:
+        try:
+            gammas.append(int(s))
+        except ValueError:
+            raise RdsError(f"--gamma-list item {s!r} is not an integer") from None
+    return gammas
 
 
 def _emit(records, args, kind, config=None) -> int:
@@ -197,8 +203,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
+def _cmd_search(args) -> int:
+    config = SearchConfig(
         n=args.n,
         gamma_bound=args.gamma_max,
         include_zero=not args.no_zero,
@@ -207,10 +213,6 @@ def _search_config(args) -> SearchConfig:
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )
-
-
-def _cmd_search(args) -> int:
-    config = _search_config(args)
     pool = build_pool(args.gamma_max, include_zero=not args.no_zero)
     t0 = time.perf_counter()
     solutions = search(config, pool)  # the whole run: a failure raises before any output
@@ -224,6 +226,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.breakdown and args.format != "jsonl":
+        raise RdsError("--breakdown needs --format jsonl")  # a CSV row has no place for it
     gammas = _parse_gamma_list(args.gamma_list)
     # every bound is validated before the first row is written
     configs = [
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-list", required=True, help="comma-separated bounds, e.g. 25,29,41")
     p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
     p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
-    p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (JSONL)")
+    p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (needs --format jsonl)")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p, default_format="csv")
     p.set_defaults(func=_cmd_count)

@@ -1,76 +1,38 @@
 """Exhaustive, partitionable search for rational distance sets.
 
 Candidate independent ratio vectors (heads) are drawn from a bounded
-ratio pool, completed to full vectors, and filtered by the membership and
-distinctness conditions.  A rank is the pool index of the kernel's
-outermost loop, so every n and mode has M ranks and a rank range is a
-range of whole outer indices:
+ratio pool, completed to full vectors (``solver.complete_psi``'s tail,
+tested exactly, without the pool's hypotenuse cap) and filtered by the
+membership and distinctness conditions.  A rank is the pool index of the
+kernel's outermost loop, so every n and mode has M ranks:
 
-* n = 3 tries the strictly increasing heads i1 < i2 < i3 and ranks them
-  by i1; every mode gives exactly these sets (permuting a head permutes
-  x, and a repeated entry repeats an x);
-* n >= 4 ranks heads by i_n.  Ordered mode tries every head with i1 < i2
-  (swapping points 2 and 3 swaps psi_1 and psi_2 and keeps the set),
-  multiset mode only heads whose pool indices never decrease, subset mode
-  only heads whose indices strictly increase.
+* n = 3 tries the heads i1 < i2 < i3, ranked by i1; every mode gives
+  exactly these sets (permuting a head permutes x, and a repeated entry
+  repeats an x);
+* n >= 4 ranks heads by i_n and tries only heads with i1 < i2 (swapping
+  points 2 and 3 swaps psi_1 and psi_2 and keeps the set); multiset mode
+  keeps heads whose pool indices never decrease, subset mode heads whose
+  indices strictly increase.
 
-Solutions are deduplicated by their canonical key, so worker count and
-partition boundaries never affect the result.  A key is one ``int`` for
-every n and mode: the ascending abscissae x_i * L, where
-L = 2 * lcm(pool denominators) is one denominator for the whole pool
-(every abscissa solved from pool ratios is an integer over L), each
-biased by 2^(w-1) into an unsigned field of w bits and packed from the
-highest field down (``_KeyCodec``).  L stays small: a pool denominator is
-a leg (m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so every prime power
-in it is at most 2 sqrt(Gamma), and L divides 2 * lcm(1..2 sqrt(Gamma)),
-which has O(sqrt(Gamma)) bits (L has 17 bits at Gamma = 65, 65 at 1001).
-The width is w = bit_length(5 * max|h|) + 1, for h the pool's numerators
-over L / 2: each entry of the closed form is +-h_1 +- h_2 + h_n or
--h_1 - h_2 + h_n + 2 h_k, so |x_i * L| <= 5 * max|h| < 2^(w-1).  Every
-field then lies in [0, 2^w), so packed keys compare as the tuples of
-their fields do, and those as the abscissae do: ``search`` sorts the ints
-natively and decodes each key, just before the distance oracle reads it
-as integers over L.
-Dependent (tail) ratios follow ``solver.complete_psi``'s formula and are
-tested exactly, without the pool's hypotenuse cap.
-
-The kernels work in integers, on the pool's numerators over L / 2; the
-closed form (``solver.solve_x_scaled``) on those gives x * L with no
-division.  For n = 3 the packed key is linear in the head, so the kernel
-builds a row of keys at a time, one integer add per set, from weighted
-copies of the pool.  For n >= 4, most tail entries have the form
-psi_n + psi_k - psi_t (t = 1, 2), so a head survives only if psi_1 and
-psi_2 lie in every membership set
-R(psi_n + psi_k) = {p in pool : psi_n + psi_k - p is a ratio}; those sets
-are cached per chunk by their sum and decided by
-``pythagorean.is_ratio_pair``.  The kernel walks psi_n, psi_(n-1) ..
-psi_3 depth first and carries the candidates for psi_1 and psi_2, so its
-work follows the outer blocks where two candidates survive, not all
-M^(n-2) of them.  A key takes its flags from ``solve_x`` on its integer
-head, which gives x times L / 2 (the flag tests are sign tests of sums),
-only when it is new: on one worker new to the run, since the serial
-chunk loop hands the run's found map to the kernel; on the pool new to
-the chunk, since a worker cannot see that map.
+Solutions are deduplicated by a canonical key, so worker count and
+partition boundaries never affect the result.  A key is one ``int``: the
+ascending abscissae x_i * L for one pool-wide denominator L
+(``_key_denominator``), packed into fixed-width fields (``_KeyCodec``),
+so keys sort as their abscissae do.  The kernels work in integers, on the
+pool's numerators over L / 2, where the closed form
+(``solver.solve_x_scaled``) gives x * L with no division.
 
 The runner splits the remaining ranks into contiguous chunks and reads
-their results in rank order through one loop, whether the chunks run in
-this process or on a process pool.  n = 3 chunks always run in this
-process, whatever the worker count: every n = 3 head is a set and the
-runner keeps every key, so receiving a key from a worker costs at least
-as much as building it here.  The pool serves only the n >= 4 kernels,
-which find far fewer sets than the heads they try.  A process keeps one
-pool for its whole life: the first multi-worker n >= 4 run starts it,
-later runs with the same worker count reuse it, and another count or a
-failure inside the pool replaces it.  A chunk sent to the pool is the
-pool's integer numerators and a rank range, so the workers build no
-``Fraction``.  Each chunk's keys are folded into the found map and, with
-a checkpoint path, committed before the next chunk is read; stopping early, by request or by an
-interrupt, leaves the checkpoint at the last committed chunk.  A worker
-watches the process that started the pool and exits when it is gone, even
-if that process died without shutting the pool down.  ``search`` runs all
-of this before it returns, so a failed run raises before its caller
-writes a byte; the solutions it yields are integer-backed, and the
-records are rendered from those integers.
+their results in rank order, whether they run in this process or on the
+process's one worker pool (``_worker_pool``).  n = 3 chunks always run
+here: every n = 3 head is a set and the runner keeps every key, so
+receiving a key from a worker costs at least as much as building it.
+Each chunk's keys are folded into the found map and, with a checkpoint
+path, appended to the checkpoint log with a commit line before the next
+chunk is read (``_load_checkpoint``); a run stopped early, by request or
+by an interrupt, resumes from the last commit.  ``search`` runs all of
+this before it returns, so a failed run raises before its caller writes
+a byte.
 """
 
 from __future__ import annotations
@@ -118,11 +80,9 @@ GP_FILTERS = (GP_ANNOTATE, GP_REQUIRE)
 FLAG_GP = 1  # general position under the adopted rule
 FLAG_ZERO_SUM = 2  # n = 3 only: all abscissae sum to zero
 
-# 2: the n >= 4 walk tries one head per psi_1 <-> psi_2 swap, so ordered
-# mode's per-chunk finds differ from schema 1's
-# 3: a rank is the outermost pool index, so next_rank counts whole i1
-# (n = 3) or i_n (n >= 4), not heads
-_CHECKPOINT_SCHEMA = 3
+# 2: one n >= 4 head per psi_1 <-> psi_2 swap; 3: a rank is the outermost
+# pool index; 4: one append-only log (3 kept a pointer file and a sidecar)
+_CHECKPOINT_SCHEMA = 4
 
 
 @dataclass(frozen=True)
@@ -192,13 +152,9 @@ def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     q, r = divmod(total_rank_count, workers)
-    ranges = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + q + (1 if w < r else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    # range w holds q ranks, and one more while w < r
+    bounds = [w * q + min(w, r) for w in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
@@ -206,7 +162,9 @@ def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
 
     Every abscissa ``solve_x`` makes from a head of these ratios is half a
     signed sum of head entries, so x * L is an integer; a canonical key
-    packs the ascending tuple of those integers.
+    packs the ascending tuple of those integers.  L stays small: a pool
+    denominator is a leg (m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so
+    L divides 2 * lcm(1..2 sqrt(Gamma)) (17 bits at Gamma = 65, 65 at 1001).
     """
     return 2 * math.lcm(*(r.denominator for r in ratios))
 
@@ -432,9 +390,8 @@ def _worker_pool(workers: int):
 
     It is started on the first chunk loop sent to a pool and replaced when
     a run asks for another worker count; the old pool's threads are joined
-    before the new one forks its workers.  The workers are forked with a
-    pipe whose write end only this process keeps open (see
-    ``_worker_init``).
+    before the new one forks its workers, with a pipe whose write end only
+    this process keeps open (see ``_worker_init``).
     """
     global _pool
     if _pool is not None and _pool[0] != workers:
@@ -457,12 +414,11 @@ def _worker_pool(workers: int):
 def _worker_init(read_fd: int, write_fd: int) -> None:
     """A pool worker's set-up: ignore SIGINT and watch the parent.
 
-    Ctrl-C reaches the whole process group: the runner handles it, and a
-    worker idle between runs must not die with a traceback.  A worker
-    closes its inherited write end of the pipe; a daemon thread then reads
-    the read end, which gives end-of-file only once the parent's write end
-    is closed too, that is when the parent is gone (SIGKILL, an OOM kill,
-    ``os._exit``) without having shut the pool down.  The worker then exits.
+    Ctrl-C reaches the whole process group, and the runner handles it.  A
+    worker closes its inherited write end of the pipe; a daemon thread then
+    reads the read end, which gives end-of-file, and exits the worker, once
+    the parent is gone (SIGKILL, an OOM kill, ``os._exit``) without having
+    shut the pool down.
     """
     import signal
     import threading
@@ -493,16 +449,6 @@ def _discard_pool() -> None:
 atexit.register(_discard_pool)
 
 
-def _result(future) -> Partial:
-    # a run that fails inside the pool (a worker died, an interrupt, an
-    # exception in a chunk) may leave it broken or busy: discard it
-    try:
-        return future.result()
-    except BaseException:
-        _discard_pool()
-        raise
-
-
 def _chunk_results(
     config: SearchConfig,
     ratios: tuple[Fraction, ...],
@@ -511,19 +457,14 @@ def _chunk_results(
 ) -> Iterator[Partial]:
     """Each chunk's Partial, in rank order: in this process, or on the pool.
 
-    n = 3 chunks always run in this process, whatever the worker count:
-    every n = 3 head yields a key and the runner keeps every key, so
-    receiving a key from a worker costs the runner at least as much as
-    building it.  The pool serves the n >= 4 kernels, which find far fewer
-    sets than the heads they try.
-
-    A chunk run in this process sees ``found``, the run's map as the caller
-    has folded it so far, and returns only keys new to the run.  A chunk
-    sent to the pool is the pool's integer numerators and its rank range.
-    Each result is yielded and its future dropped at once, so only the
-    chunks not yet read are held.  Closing the generator early cancels this
-    run's queued chunks and keeps the pool; a failure while waiting
-    discards it.
+    n = 3 chunks always run in this process (see the module docstring).  A
+    chunk run here sees ``found``, the run's map as the caller has folded
+    it so far, and returns only keys new to the run.  A chunk sent to the
+    pool is the pool's integer numerators and its rank range.  Each result
+    is yielded and its future dropped at once, so only the chunks not yet
+    read are held.  Closing the generator early cancels this run's queued
+    chunks and keeps the pool; any other failure, while the chunks are
+    submitted or read, discards it.
     """
     if config.workers == 1 or config.n == 3 or len(chunks) <= 1:
         for lo, hi in chunks:
@@ -532,11 +473,20 @@ def _chunk_results(
     h, half = _over_lcm(ratios)
     executor = _worker_pool(config.workers)
     n, mode = config.n, config.enumeration_mode
-    futures = [executor.submit(_scan_range, n, mode, h, half, lo, hi) for lo, hi in chunks]
-    futures.reverse()  # popped from the end, in submission order
+    futures = []
     try:
+        for lo, hi in chunks:
+            futures.append(executor.submit(_scan_range, n, mode, h, half, lo, hi))
+        futures.reverse()  # popped from the end, in submission order
         while futures:
-            yield _result(futures.pop())
+            yield futures.pop().result()
+    except GeneratorExit:  # closed early: the pool is whole
+        raise
+    except BaseException:
+        # a worker died, an interrupt, an exception in a chunk: the pool may
+        # be broken, busy, or hold a chunk that was never queued
+        _discard_pool()
+        raise
     finally:
         for future in futures:
             future.cancel()
@@ -545,25 +495,9 @@ def _chunk_results(
 # --- checkpointing ---------------------------------------------------------
 
 
-def _sidecar_path(checkpoint_path: str) -> str:
-    return checkpoint_path + ".partial"
-
-
-def _write_checkpoint(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _sidecar_key(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
-    """One sidecar line's key, decoded: a JSON object whose "x" lists n
-    strings of pairwise-distinct rationals, each an integer over the key
+def _read_key_line(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
+    """One key line's key, decoded: a JSON object whose "x" lists n strings
+    of pairwise-distinct rationals, each an integer over the key
     denominator den that fits a field of ``codec``; any other line is
     corrupt.  A value too wide for its field would spill into its
     neighbour and could pack to another set's key."""
@@ -575,70 +509,66 @@ def _sidecar_key(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
                 x = tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
                 if all(map(codec.fits, x)):
                     return x
-                raise CheckpointCorrupt(f"sidecar line {line!r} has a value outside the key field")
+                raise CheckpointCorrupt(f"key line {line!r} has a value outside the key field")
     except (ValueError, KeyError, TypeError, ZeroDenominator):
         pass
-    raise CheckpointCorrupt(f"bad sidecar line {line!r}")
+    raise CheckpointCorrupt(f"bad key line {line!r}")
 
 
 def _load_checkpoint(
     path: str, expected_echo: dict, den: int, codec: _KeyCodec
 ) -> tuple[int, dict[int, int]]:
-    """Return (next_rank, found) reconstructed from a checkpoint pair; keys
-    over den, packed by ``codec``."""
+    """Return (next_rank, found) from a checkpoint log, and cut the log
+    after its last complete commit line; keys over den, packed by ``codec``.
+
+    Only lines that end in a newline count, so a torn tail is dropped with
+    the key lines after the last commit.  Each commit must raise next_rank,
+    to at most total_ranks, and its two counts must be those of the keys
+    read so far; anything else is corrupt.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointCorrupt(f"checkpoint {path} is not a JSON object")
-    try:
-        schema = payload["schema_version"]
-        config = payload["config"]
-        next_rank = payload["next_rank"]
-        offset = payload["output_offset"]
-    except KeyError as exc:
-        raise CheckpointCorrupt(f"checkpoint {path} lacks {exc}") from exc
+        with open(path, "rb") as fh:
+            head, *lines = fh.read().split(b"\n")
+        header = json.loads(head)
+        schema, config = header["schema_version"], header["config"]
+        if not lines:
+            raise ValueError("the header line is incomplete")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc!r}") from exc
     if schema != _CHECKPOINT_SCHEMA:
         raise CheckpointCorrupt(f"unsupported checkpoint schema {schema}")
     if config != expected_echo:
         raise ConfigMismatch(
             f"checkpoint config {config} does not match current config {expected_echo}"
         )
-    if not _is_int(next_rank) or not 0 <= next_rank <= expected_echo["total_ranks"]:
-        raise CheckpointCorrupt(f"checkpoint next_rank {next_rank!r} is out of range")
-    if not _is_int(offset) or offset < 0:
-        raise CheckpointCorrupt(f"checkpoint output_offset {offset!r} is not a byte offset")
     found: dict[int, int] = {}
-    sidecar = _sidecar_path(path)
-    try:
-        with open(sidecar, "rb") as fh:
-            blob = fh.read(offset)
-    except OSError as exc:
-        raise CheckpointCorrupt(f"cannot read checkpoint sidecar {sidecar}: {exc}") from exc
-    if len(blob) != offset:
-        raise CheckpointCorrupt(
-            f"sidecar {sidecar} shorter than recorded offset {offset}"
-        )
-    # drop any torn bytes past the recorded offset
-    with open(sidecar, "r+b") as fh:
-        fh.truncate(offset)
-    for line in blob.splitlines():
-        x = _sidecar_key(line, codec, den)
-        found[codec.pack(x)] = _flags_of_x(x)
+    pending: dict[int, int] = {}  # the keys since the last commit
+    next_rank = gp = 0
+    size = end = len(head) + 1  # bytes up to the last commit, and read
+    for line in lines[:-1]:  # the last piece ends in no newline
+        end += len(line) + 1
+        if line.startswith(b'{"x"'):
+            x = _read_key_line(line, codec, den)
+            pending[codec.pack(x)] = _flags_of_x(x)
+            continue
+        try:
+            commit = json.loads(line)
+            rank, counts = commit["next_rank"], [commit["theta_all_so_far"], commit["theta_gp_so_far"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointCorrupt(f"bad commit line {line!r}") from exc
+        if type(rank) is not int or not next_rank < rank <= expected_echo["total_ranks"]:
+            raise CheckpointCorrupt(f"checkpoint next_rank {rank!r} is out of range after {next_rank}")
+        gp += sum(f & FLAG_GP for k, f in pending.items() if k not in found)
+        found.update(pending)
+        if counts != [len(found), gp]:
+            raise CheckpointCorrupt(f"commit line {line!r} does not count the keys before it")
+        next_rank, size, pending = rank, end, {}
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
     return next_rank, found
 
 
 # --- the runner ------------------------------------------------------------
-
-
-def _check_pool(config: SearchConfig, pool: RatioPool) -> None:
-    if pool.gamma_bound != config.gamma_bound or pool.include_zero != config.include_zero:
-        raise ConfigMismatch(
-            f"pool (gamma={pool.gamma_bound}, zero={pool.include_zero}) does not match "
-            f"config (gamma={config.gamma_bound}, zero={config.include_zero})"
-        )
 
 
 def run_enumeration(
@@ -651,12 +581,16 @@ def run_enumeration(
     Returns (found, completed); found maps each canonical key to its flag
     bits.  A key is an int that ``_key_codec(config.n, pool.ratios)``
     decodes into the ascending abscissae over
-    ``_key_denominator(pool.ratios)``; the sidecar holds them decoded.
+    ``_key_denominator(pool.ratios)``; the checkpoint holds them decoded.
     ``stop_after_ranges`` halts after that many chunk boundaries in this
     call, which together with a checkpoint path models a kill/resume at a
     rank boundary.
     """
-    _check_pool(config, pool)
+    if pool.gamma_bound != config.gamma_bound or pool.include_zero != config.include_zero:
+        raise ConfigMismatch(
+            f"pool (gamma={pool.gamma_bound}, zero={pool.include_zero}) does not match "
+            f"config (gamma={config.gamma_bound}, zero={config.include_zero})"
+        )
     echo = config.echo(pool)
     total = echo["total_ranks"]
     den = _key_denominator(pool.ratios)
@@ -668,43 +602,30 @@ def run_enumeration(
     if ckpt and os.path.exists(ckpt):
         start_rank, found = _load_checkpoint(ckpt, echo, den, codec)
     elif ckpt:
-        open(_sidecar_path(ckpt), "w").close()
+        with open(ckpt, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"config": echo, "schema_version": _CHECKPOINT_SCHEMA}, sort_keys=True) + "\n")
     gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
 
-    if start_rank >= total:
-        chunks: list[tuple[int, int]] = []
-    else:
-        remaining = total - start_rank
-        n_chunks = max(config.workers, min(64, remaining))
-        chunks = [
-            (lo + start_rank, hi + start_rank)
-            for lo, hi in partition_space(remaining, n_chunks)
-            if hi > lo
-        ]
+    remaining = total - start_rank
+    chunks = [
+        (lo + start_rank, hi + start_rank)
+        for lo, hi in partition_space(remaining, max(config.workers, min(64, remaining)))
+        if hi > lo
+    ]
 
     def finish_chunk(partial: Partial) -> None:
+        # append the chunk's new keys, then the commit line that makes them count
         nonlocal gp_so_far
         fresh = [k for k in partial.found if k not in found] if ckpt else []
         # a key's flags depend only on its x: re-storing a known key changes nothing
         found.update(partial.found)
         if ckpt:
-            with open(_sidecar_path(ckpt), "a", encoding="utf-8") as fh:
-                for k in fresh:
-                    xs = [format_over(v, den) for v in codec.unpack(k)]
-                    fh.write(json.dumps({"x": xs}) + "\n")
-            offset = os.path.getsize(_sidecar_path(ckpt))
             gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
-            _write_checkpoint(
-                ckpt,
-                {
-                    "schema_version": _CHECKPOINT_SCHEMA,
-                    "config": echo,
-                    "next_rank": partial.rank_hi,
-                    "theta_all_so_far": len(found),
-                    "theta_gp_so_far": gp_so_far,
-                    "output_offset": offset,
-                },
-            )
+            commit = {"next_rank": partial.rank_hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
+            with open(ckpt, "a", encoding="utf-8") as fh:
+                for k in fresh:
+                    fh.write(json.dumps({"x": [format_over(v, den) for v in codec.unpack(k)]}) + "\n")
+                fh.write(json.dumps(commit) + "\n")
 
     completed = True
     with closing(_chunk_results(config, pool.ratios, chunks, found)) as partials:
@@ -715,9 +636,7 @@ def run_enumeration(
                 break
 
     if completed and ckpt:
-        for path in (ckpt, _sidecar_path(ckpt)):
-            if os.path.exists(path):
-                os.remove(path)
+        os.remove(ckpt)
     return found, completed
 
 

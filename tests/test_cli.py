@@ -22,12 +22,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_rds_process(*argv):
-    # a fresh interpreter does not see pytest's pythonpath setting
-    env = dict(os.environ)
+def _child_env():
+    # a fresh interpreter does not see pytest's pythonpath setting; with
+    # faulthandler on, a SIGABRT makes it print every thread's stack
+    env = dict(os.environ, PYTHONFAULTHANDLER="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_rds_process(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "rds", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "rds", *argv], capture_output=True, text=True, env=_child_env()
     )
 
 
@@ -329,25 +334,32 @@ def test_count_checks_every_bound_before_writing(tmp_path, capsys):
     assert previous.read_bytes() == b"previous output\n"
 
 
-def _rds_session(*argv):
+def _rds_session(*argv, python_args=("-m", "rds")):
     # its own process group, so that the group is the child and its workers
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.Popen(
-        [sys.executable, "-m", "rds", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        [sys.executable, *python_args, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(), start_new_session=True,
     )
 
 
-def _communicate(proc):
+def _communicate(proc, timeout=120):
     # the pipes close only when every process holding them has exited; on a
-    # timeout, kill the whole group, which may outlive its leader
+    # timeout, abort the whole group, which may outlive its leader, so that
+    # each process prints its threads' stacks, then kill what is left
     try:
-        return proc.communicate(timeout=120)
+        return proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise
+        os.killpg(proc.pid, signal.SIGABRT)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            pass
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        _, err = proc.communicate()
+        pytest.fail(f"the child did not exit within {timeout} s; its stderr:\n{err}")
 
 
 def _run_count_script(exit_call):
@@ -362,12 +374,7 @@ def _run_count_script(exit_call):
         "print(*pids, file=sys.stderr, flush=True)\n"
         f"{exit_call}\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
-    )
+    proc = _rds_session(python_args=("-c", script))
     out, err = _communicate(proc)
     return proc, out, [int(p) for p in err.splitlines()[-1].split()] if proc.returncode == 0 else []
 
@@ -411,6 +418,65 @@ def test_ctrl_c_on_workers_exits_130():
         _, err = _communicate(proc)
     assert proc.returncode == 130
     assert err == "rds: interrupted\n"
+
+
+# ``rds count --n 4 --gamma-list 25,145 --workers 2`` that raises
+# KeyboardInterrupt as the 5th chunk of the second bound is submitted:
+# before ``submit`` is called, or inside it, once the work item is recorded
+# but before its id is queued; it prints the worker pids first
+_INTERRUPTED_COUNT = """
+import sys
+import rds.cli, rds.search
+
+inside = sys.argv[1] == "inside"
+make_pool = rds.search._worker_pool
+runs = []  # chunks submitted in each run on the pool
+
+
+def interrupt(executor):
+    if len(runs) == 2 and runs[-1] == 5:
+        print(*(p.pid for p in executor._processes.values()), file=sys.stderr, flush=True)
+        raise KeyboardInterrupt
+
+
+def interrupting_pool(workers):
+    executor = make_pool(workers)
+    if not runs:  # one pool serves both bounds
+        submit, put = executor.submit, executor._work_ids.put
+
+        def counting_submit(*args):
+            runs[-1] += 1
+            if not inside:
+                interrupt(executor)
+            return submit(*args)
+
+        def interrupting_put(item):
+            if inside:
+                interrupt(executor)
+            put(item)
+
+        executor.submit, executor._work_ids.put = counting_submit, interrupting_put
+    runs.append(0)
+    return executor
+
+
+rds.search._worker_pool = interrupting_pool
+sys.exit(rds.cli.main(["count", "--n", "4", "--gamma-list", "25,145", "--workers", "2"]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("where", ["between", "inside"])
+def test_ctrl_c_while_chunks_are_submitted_exits_130(where):
+    # the pool is discarded whichever call is interrupted: its queued chunks
+    # are cancelled, and no work item is left for interpreter exit to wait on
+    proc = _rds_session(where, python_args=("-c", _INTERRUPTED_COUNT))
+    _, err = _communicate(proc, timeout=30)
+    assert proc.returncode == 130
+    first, pids, last = err.splitlines()
+    assert first.startswith("count: gamma=25 ") and last == "rds: interrupted"
+    pids = [int(p) for p in pids.split()]
+    assert len(pids) == 2 and not any(map(_alive, pids))
 
 
 def test_search_checkpoint_resume_via_cli(tmp_path, capsys):
@@ -457,8 +523,9 @@ def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--checkpoint", str(ckpt)]) == 130
     _, err = capsys.readouterr()
     assert err == "rds: interrupted\n"
-    # the checkpoint holds the two chunks that completed
-    assert json.loads(ckpt.read_text())["next_rank"] == calls[1][4]  # hi
+    # the checkpoint is one file, whose last commit is the second chunk's
+    assert os.listdir(tmp_path) == ["ctrl-c.ckpt"]
+    assert json.loads(ckpt.read_text().splitlines()[-1])["next_rank"] == calls[1][4]  # hi
 
     monkeypatch.undo()
     assert main(argv + ["--checkpoint", str(ckpt)]) == 0
@@ -473,6 +540,8 @@ def test_checkpoint_io_error_is_one_line_exit_2(tmp_path):
     assert proc.stderr.startswith("rds: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    # the error names the path given, the only file a checkpoint has
+    assert repr(str(ckpt)) in proc.stderr and ".partial" not in proc.stderr
 
 
 def test_corrupt_checkpoint_leaves_out_file_intact(tmp_path, capsys):
@@ -526,10 +595,8 @@ def test_tables_exit_code_follows_regression(capsys, monkeypatch):
 
 def test_cli_import_leaves_the_bundled_tables_unloaded():
     # only `rds tables` reads them, so no other command pays their import
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     script = "import sys, rds.cli; print('rds.reference' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
@@ -560,6 +627,22 @@ def test_empty_gamma_item_is_usage_error(capsys, command, gammas):
     code, out, err = run_cli(capsys, *command, "--gamma-list", gammas, "--format", "csv")
     assert (code, out) == (2, "")
     assert err == f"rds: --gamma-list has an empty item: {gammas!r}\n"
+
+
+@pytest.mark.parametrize("command", [("count", "--n", "3"), ("growth",)], ids=["count", "growth"])
+@pytest.mark.parametrize("gammas, item", [("25,abc", "abc"), ("2.5", "2.5"), ("25, x ", " x ")])
+def test_non_integer_gamma_item_is_usage_error(capsys, command, gammas, item):
+    code, out, err = run_cli(capsys, *command, "--gamma-list", gammas, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"rds: --gamma-list item {item!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["default", "csv"])
+def test_breakdown_needs_jsonl(capsys, fmt):
+    # a CSV row has no column for it, so it would be dropped without a word
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--gamma-list", "109", "--breakdown", *fmt)
+    assert (code, out) == (2, "")
+    assert err == "rds: --breakdown needs --format jsonl\n"
 
 
 def _alive(pid):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import os
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -36,7 +37,7 @@ from rds.search import (
     _key_width,
     _load_checkpoint,
     _ratio_class,
-    _sidecar_key,
+    _read_key_line,
     pool_growth_report,
     process_range,
     run_enumeration,
@@ -749,6 +750,16 @@ def test_whole_space_matches_the_uncut_naive_product(case, data):
         assert got == want[mode], mode
 
 
+def _log_lines(ckpt):
+    """The records after a checkpoint log's header: key lines and commits."""
+    return [json.loads(line) for line in ckpt.read_text().splitlines()[1:]]
+
+
+def _key_lines(ckpt):
+    """A checkpoint log's key lines, each with its newline."""
+    return "".join(line + "\n" for line in ckpt.read_text().splitlines() if line.startswith('{"x"'))
+
+
 @pytest.mark.parametrize("n, gamma", [(3, 65), (4, 25)])
 def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
     pool = build_pool(gamma)
@@ -759,13 +770,15 @@ def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
     den = _key_denominator(pool.ratios)
     codec = _key_codec(n, pool.ratios)
     lines = [json.dumps({"x": [str(Fraction(v, den)) for v in codec.unpack(k)]}) for k in found]
-    assert (tmp_path / "search.ckpt.partial").read_text() == "".join(line + "\n" for line in lines)
+    assert _key_lines(ckpt) == "".join(line + "\n" for line in lines)
+    last_commit = _log_lines(ckpt)[-1]
     next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), den, codec)
-    assert next_rank == json.loads(ckpt.read_text())["next_rank"]
+    assert next_rank == last_commit["next_rank"] == 5
     assert list(loaded.items()) == list(found.items())
 
 
-# sha256 of the sidecar after the first chunks, taken while keys were tuples
+# sha256 of the key lines after the first chunks, taken while keys were
+# tuples and the lines had a file of their own
 @pytest.mark.parametrize(
     "n, gamma, stop_after, workers, sha256",
     [
@@ -774,12 +787,58 @@ def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
     ],
 )
 def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, fresh_pool, n, gamma, stop_after, workers, sha256):
-    # packing the keys changes no byte of a checkpoint, so schema 3 stays
+    # neither packing the keys nor the one-file log changes a key line's bytes
     ckpt = tmp_path / "search.ckpt"
     cfg = SearchConfig(n=n, gamma_bound=gamma, workers=workers, checkpoint_path=str(ckpt))
     assert not run_enumeration(cfg, build_pool(gamma), stop_after_ranges=stop_after)[1]
-    assert hashlib.sha256((tmp_path / "search.ckpt.partial").read_bytes()).hexdigest() == sha256
-    assert json.loads(ckpt.read_text())["schema_version"] == 3
+    assert hashlib.sha256(_key_lines(ckpt).encode()).hexdigest() == sha256
+    assert json.loads(ckpt.read_text().splitlines()[0])["schema_version"] == 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, gamma, stop_after", [(3, 13, 2), (4, 13, 2)], ids=["n3-g13", "n4-g13"])
+def test_every_cut_of_a_log_resumes(tmp_path, fresh_pool, n, gamma, stop_after, workers):
+    # a kill can leave any prefix of the log.  A cut inside the header is
+    # corrupt; any longer cut loads as the last commit it holds and is cut
+    # back to it, so it resumes as that commit's prefix does, and each of
+    # those prefixes, with a torn half of the next chunk, resumes end to end
+    pool = build_pool(gamma)
+    whole_cfg = SearchConfig(n=n, gamma_bound=gamma, workers=workers)
+    items = list(run_enumeration(whole_cfg, pool)[0].items())
+    emitted = list(search(whole_cfg, pool))
+    ckpt = tmp_path / "cut.ckpt"
+    cfg = replace(whole_cfg, checkpoint_path=str(ckpt))
+    assert not run_enumeration(cfg, pool, stop_after_ranges=stop_after)[1]
+    log = ckpt.read_bytes()
+    # the end of the header and of each commit line, and the (next_rank,
+    # number of keys) it leaves
+    ends, states, keys, pos = [], [], 0, 0
+    for line in log.splitlines(keepends=True):
+        pos += len(line)
+        if line.startswith(b'{"x"'):
+            keys += 1
+        else:  # the header or a commit
+            ends.append(pos)
+            states.append((json.loads(line).get("next_rank", 0), keys))
+    assert len(ends) == stop_after + 1 and 0 < keys < len(items)
+    den, codec, echo = _key_denominator(pool.ratios), _key_codec(n, pool.ratios), cfg.echo(pool)
+    for cut in range(len(log) + 1):
+        ckpt.write_bytes(log[:cut])
+        if cut < ends[0]:
+            with pytest.raises(CheckpointCorrupt):
+                run_enumeration(cfg, pool)
+            continue
+        k = bisect_right(ends, cut) - 1
+        next_rank, found = _load_checkpoint(str(ckpt), echo, den, codec)
+        assert (next_rank, list(found.items())) == (states[k][0], items[: states[k][1]]), cut
+        assert ckpt.read_bytes() == log[: ends[k]], cut
+    for end, after in zip(ends, ends[1:] + [len(log)]):
+        torn = log[: (end + after) // 2]
+        ckpt.write_bytes(torn)
+        assert list(run_enumeration(cfg, pool)[0].items()) == items
+        ckpt.write_bytes(torn)
+        assert list(search(cfg, pool)) == emitted
+        assert not ckpt.exists()
 
 
 def test_resume_on_workers_writes_the_uninterrupted_bytes(tmp_path, fresh_pool):
@@ -824,30 +883,35 @@ def test_checkpoint_stop_and_resume(tmp_path):
     for stop_after in (1, 3, 7):
         found, completed = run_enumeration(cfg, pool, stop_after_ranges=stop_after)
         assert not completed
-        assert (tmp_path / "search.ckpt").exists()
+        # a checkpoint is one file
+        assert os.listdir(tmp_path) == ["search.ckpt"]
         resumed = list(search(cfg, pool))
         assert resumed == baseline
-        # successful completion removes the checkpoint pair
-        assert not (tmp_path / "search.ckpt").exists()
-        assert not (tmp_path / "search.ckpt.partial").exists()
+        # successful completion removes it
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("n, gamma, stop_after", [(3, 65, 5), (4, 25, 10)])
 def test_checkpoint_counts_match_the_sidecar(tmp_path, n, gamma, stop_after):
-    # the running counts after each chunk equal a recount of the sidecar
+    # every commit's running counts equal a recount of the key lines before it
     pool = build_pool(gamma)
     ckpt = tmp_path / "search.ckpt"
     cfg = SearchConfig(n=n, gamma_bound=gamma, checkpoint_path=str(ckpt))
     for step in (stop_after, 1):  # a fresh run, then a resumed one
         _, completed = run_enumeration(cfg, pool, stop_after_ranges=step)
         assert not completed
-        payload = json.loads(ckpt.read_text())
-        lines = (tmp_path / "search.ckpt.partial").read_text().splitlines()
-        xs = [[Fraction(v) for v in json.loads(line)["x"]] for line in lines]
-        assert payload["theta_all_so_far"] == len(xs) > 0
-        assert payload["theta_gp_so_far"] == sum(map(check_general_position, xs))
+        xs, ranks = [], []
+        for record in _log_lines(ckpt):
+            if "x" in record:
+                xs.append([Fraction(v) for v in record["x"]])
+            else:
+                ranks.append(record["next_rank"])
+                assert record["theta_all_so_far"] == len(xs)
+                assert record["theta_gp_so_far"] == sum(map(check_general_position, xs))
+        assert "next_rank" in record and len(xs) > 0
+        assert ranks == list(range(1, len(ranks) + 1))  # one outer index a chunk
         if n == 3:
-            assert payload["theta_gp_so_far"] < len(xs)  # the window holds mirror sets
+            assert record["theta_gp_so_far"] < len(xs)  # the window holds mirror sets
 
 
 @pytest.mark.parametrize("stop_after", [1, 3])
@@ -882,6 +946,33 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
         run_enumeration(other, pool)
 
 
+def _edit_log(ckpt, edit):
+    """Apply ``edit`` to the list of a log's lines and write them back."""
+    lines = ckpt.read_text().splitlines()
+    edit(lines)
+    ckpt.write_text("".join(line + "\n" for line in lines))
+
+
+def _header(edit):
+    """An edit of a log's lines that replaces its header by ``edit`` of the
+    header's JSON object."""
+
+    def apply(lines):
+        lines[0] = edit(json.loads(lines[0]))
+
+    return apply
+
+
+def _commit(edit):
+    """An edit of a log's lines that replaces its last line, the last
+    commit, by the JSON of ``edit`` of that commit's object."""
+
+    def apply(lines):
+        lines[-1] = json.dumps(edit(json.loads(lines[-1])))
+
+    return apply
+
+
 def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
     # a checkpoint over the C(M + n - 1, n) lexicographic multiset ranks
     # must not resume in the rank space that every mode shares
@@ -891,80 +982,112 @@ def test_checkpoint_rejects_multiset_lexicographic_rank_total(tmp_path):
         n=4, gamma_bound=25, enumeration_mode=MODE_MULTISET, checkpoint_path=str(ckpt)
     )
     run_enumeration(cfg, pool, stop_after_ranges=1)
-    payload = json.loads(ckpt.read_text())
-    payload["config"]["total_ranks"] = comb(len(pool.ratios) + 3, 4)
-    ckpt.write_text(json.dumps(payload))
+    total = comb(len(pool.ratios) + 3, 4)
+    _edit_log(ckpt, _header(lambda h: json.dumps({**h, "config": {**h["config"], "total_ranks": total}})))
     with pytest.raises(ConfigMismatch):
         run_enumeration(cfg, pool)
 
 
 def _stopped_checkpoint(tmp_path):
-    """A config whose checkpoint pair holds the first of the n = 4, Gamma = 25 chunks."""
+    """A config whose checkpoint log holds the first 3 of the n = 4, Gamma = 25 chunks."""
     cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(tmp_path / "bad.ckpt"))
-    run_enumeration(cfg, build_pool(25), stop_after_ranges=1)
+    run_enumeration(cfg, build_pool(25), stop_after_ranges=3)
     return cfg
 
 
-_NOT_OFFSET = "output_offset .* is not a byte offset"
+def _as_schema_3_pointer(lines):
+    # schema 3 kept the keys in a second file, PATH.partial, up to the
+    # pointer's output_offset: this is its pointer for these 3 chunks, alone
+    header = json.loads(lines[0])
+    pointer = {
+        "config": header["config"],
+        "next_rank": 3,
+        "output_offset": 5690,
+        "schema_version": 3,
+        "theta_all_so_far": 112,
+        "theta_gp_so_far": 2,
+    }
+    lines[:] = [json.dumps(pointer, sort_keys=True)]
+
+
+_BAD_READ = r"cannot read checkpoint \S*bad\.ckpt: "
 _BAD_RANK = "next_rank .* is out of range"
+_BAD_COUNT = "does not count"
 
 
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda p: "{not json", r"cannot read checkpoint \S*bad\.ckpt: "),
-        (lambda p: "[1]", "is not a JSON object"),
-        (lambda p: json.dumps({**p, "output_offset": "x"}), _NOT_OFFSET),
-        (lambda p: json.dumps({**p, "output_offset": -1}), _NOT_OFFSET),
-        (lambda p: json.dumps({**p, "next_rank": "7"}), _BAD_RANK),
-        (lambda p: json.dumps({**p, "next_rank": True}), _BAD_RANK),
-        (lambda p: json.dumps({**p, "next_rank": -1}), _BAD_RANK),
-        (lambda p: json.dumps({**p, "next_rank": p["config"]["total_ranks"] + 1}), _BAD_RANK),
-        (
-            lambda p: json.dumps({k: v for k, v in p.items() if k != "next_rank"}),
-            "lacks 'next_rank'",
-        ),
-        (lambda p: json.dumps({**p, "schema_version": 99}), "unsupported checkpoint schema 99"),
+        (_header(lambda h: "{not json"), _BAD_READ),
+        (_header(lambda h: "[1]"), _BAD_READ),
+        (_header(lambda h: json.dumps({k: v for k, v in h.items() if k != "config"})), _BAD_READ + ".*'config'"),
+        (_header(lambda h: json.dumps({**h, "schema_version": 99})), "unsupported checkpoint schema 99"),
         # schema 1 was written by the kernel that tried both heads of a
         # psi_1 <-> psi_2 swap: its chunks' finds are not this kernel's
-        (lambda p: json.dumps({**p, "schema_version": 1}), "^unsupported checkpoint schema 1$"),
+        (_header(lambda h: json.dumps({**h, "schema_version": 1})), "^unsupported checkpoint schema 1$"),
         # schema 2 ranked every head (C(M,3) for n = 3, M^n for n >= 4):
         # its next_rank is not a count of outer indices
-        (lambda p: json.dumps({**p, "schema_version": 2}), "^unsupported checkpoint schema 2$"),
-        (
-            lambda p: json.dumps({**p, "output_offset": p["output_offset"] + 1}),
-            "shorter than recorded offset",
-        ),
+        (_header(lambda h: json.dumps({**h, "schema_version": 2})), "^unsupported checkpoint schema 2$"),
+        (_as_schema_3_pointer, "^unsupported checkpoint schema 3$"),
+        (_commit(lambda c: {**c, "next_rank": "3"}), _BAD_RANK),
+        (_commit(lambda c: {**c, "next_rank": True}), _BAD_RANK),
+        (_commit(lambda c: {**c, "next_rank": -1}), _BAD_RANK),
+        (_commit(lambda c: {**c, "next_rank": 2}), _BAD_RANK),  # the commit before it had 2
+        (_commit(lambda c: {**c, "next_rank": 18}), _BAD_RANK),  # total_ranks is M = 17
+        (_commit(lambda c: {k: v for k, v in c.items() if k != "next_rank"}), "bad commit line"),
+        (_commit(lambda c: [1]), "bad commit line"),
+        (_commit(lambda c: {**c, "theta_all_so_far": c["theta_all_so_far"] + 1}), _BAD_COUNT),
+        (_commit(lambda c: {**c, "theta_gp_so_far": c["theta_gp_so_far"] + 1}), _BAD_COUNT),
+        (_commit(lambda c: {**c, "theta_all_so_far": str(c["theta_all_so_far"])}), _BAD_COUNT),
+        # the commits after it count one key more than the lines before them
+        (lambda lines: lines.remove(next(l for l in lines if l.startswith('{"x"'))), _BAD_COUNT),
     ],
     ids=[
         "not-json",
         "not-object",
-        "offset-string",
-        "offset-negative",
-        "rank-string",
-        "rank-bool",
-        "rank-negative",
-        "rank-past-end",
-        "missing-key",
+        "header-lacks-config",
         "schema-version",
         "schema-1-kernel",
         "schema-2-kernel",
-        "offset-past-sidecar-end",
+        "schema-3-pointer",
+        "rank-string",
+        "rank-bool",
+        "rank-negative",
+        "rank-not-raised",
+        "rank-past-end",
+        "missing-key",
+        "commit-not-object",
+        "count-all",
+        "count-gp",
+        "count-string",
+        "lost-key-line",
     ],
 )
 def test_checkpoint_corrupt_file(tmp_path, edit, match):
     cfg = _stopped_checkpoint(tmp_path)
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_text(edit(json.loads(ckpt.read_text())))
+    assert json.loads(ckpt.read_text().splitlines()[-1])["next_rank"] == 3
+    _edit_log(ckpt, edit)
     with pytest.raises(CheckpointCorrupt, match=match):
         run_enumeration(cfg, build_pool(25))
 
 
-def test_checkpoint_without_sidecar_is_corrupt(tmp_path):
+def test_checkpoint_torn_tail_is_cut(tmp_path):
+    # key lines after the last commit and a line with no newline are the
+    # chunk a kill interrupted: the load drops them and cuts them from the file
+    pool = build_pool(25)
+    baseline = list(search(SearchConfig(n=4, gamma_bound=25), pool))
     cfg = _stopped_checkpoint(tmp_path)
-    (tmp_path / "bad.ckpt.partial").unlink()
-    with pytest.raises(CheckpointCorrupt, match="cannot read checkpoint sidecar"):
-        run_enumeration(cfg, build_pool(25))
+    ckpt = tmp_path / "bad.ckpt"
+    log = ckpt.read_bytes()
+    key_line = log[log.index(b'{"x"') :].split(b"\n")[0]
+    ckpt.write_bytes(log + key_line + b"\n" + key_line[:9])
+    den, codec = _key_denominator(pool.ratios), _key_codec(4, pool.ratios)
+    next_rank, found = _load_checkpoint(str(ckpt), cfg.echo(pool), den, codec)
+    assert (next_rank, len(found)) == (3, 112)
+    assert ckpt.read_bytes() == log
+    ckpt.write_bytes(log + key_line[:9])
+    assert list(search(cfg, pool)) == baseline
 
 
 def test_search_fails_at_the_call(tmp_path):
@@ -1002,15 +1125,14 @@ def test_search_fails_at_the_call(tmp_path):
     ],
 )
 def test_checkpoint_corrupt_sidecar_line(tmp_path, line):
+    # the line as the one key line of a log's first chunk
     pool = build_pool(25)
     ckpt = tmp_path / "bad.ckpt"
     cfg = SearchConfig(n=4, gamma_bound=25, checkpoint_path=str(ckpt))
     run_enumeration(cfg, pool, stop_after_ranges=1)
-    sidecar = tmp_path / "bad.ckpt.partial"
-    sidecar.write_bytes(line + b"\n")
-    payload = json.loads(ckpt.read_text())
-    payload["output_offset"] = sidecar.stat().st_size
-    ckpt.write_text(json.dumps(payload))
+    header = ckpt.read_bytes().split(b"\n")[0]
+    commit = json.dumps({"next_rank": 1, "theta_all_so_far": 1, "theta_gp_so_far": 0}).encode()
+    ckpt.write_bytes(b"\n".join([header, line, commit, b""]))
     with pytest.raises(CheckpointCorrupt):
         run_enumeration(cfg, pool)
 
@@ -1022,13 +1144,13 @@ def test_sidecar_value_outside_the_key_field_is_corrupt():
     ratios = build_pool(25).ratios
     den, codec = _key_denominator(ratios), _key_codec(4, ratios)
     assert (den, codec.bias) == (1680, 1 << 14)
-    assert _sidecar_key(b'{"x": ["9", "1/2", "3/4", "-5/4"]}', codec, den) == (-2100, 840, 1260, 15120)
+    assert _read_key_line(b'{"x": ["9", "1/2", "3/4", "-5/4"]}', codec, den) == (-2100, 840, 1260, 15120)
     # 1023/105 and 1024/105 are 16368 and 16384 over L
     line = b'{"x": ["%s", "1/2", "3/4", "5/4"]}'
-    assert _sidecar_key(line % b"-1023/105", codec, den) == (-16368, 840, 1260, 2100)
+    assert _read_key_line(line % b"-1023/105", codec, den) == (-16368, 840, 1260, 2100)
     for v in (b"10", b"-10", b"1024/105", b"-1024/105"):
         with pytest.raises(CheckpointCorrupt, match="outside the key field"):
-            _sidecar_key(line % v, codec, den)
+            _read_key_line(line % v, codec, den)
 
 
 def test_zero_sum_breakdown_at_109():
