@@ -1,8 +1,7 @@
 """Exact-arithmetic rational distance sets on the parabola y = x^2."""
 
-from .rat import Rat, format_rat, is_perfect_square, isqrt, normalize, parse_rat
+from .rat import Rat, is_perfect_square, isqrt, normalize, parse_rat
 from .pythagorean import (
-    RatioClass,
     RatioPool,
     Triplet,
     build_pool,
@@ -16,9 +15,7 @@ from .pythagorean import (
     ratios_of,
 )
 from .solver import (
-    CoeffMatrix,
     ExistenceCheck,
-    PsiVector,
     Solution,
     VerifyResult,
     check_distinct,

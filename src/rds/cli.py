@@ -47,7 +47,6 @@ from .search import (
 )
 from .solver import (
     ExistenceCheck,
-    PsiVector,
     check_distinct,
     check_existence,
     check_general_position,
@@ -169,12 +168,11 @@ def _cmd_complete(args) -> int:
     if len(head) != args.n:
         raise RdsError(f"--psi needs {args.n} entries for n={args.n}, got {len(head)}")
     existence = check_existence(head)
-    vector = PsiVector(n=args.n, entries=tuple(head + existence.tail))
     record = {
         "n": args.n,
-        "psi": [str(v) for v in vector.entries],
-        "head": [str(v) for v in vector.head],
-        "tail": [str(v) for v in vector.tail],
+        "psi": [str(v) for v in head + existence.tail],
+        "head": [str(v) for v in head],
+        "tail": [str(v) for v in existence.tail],
         "existence_ok": existence.ok,
         "failing_positions": existence.failing,
     }
@@ -280,6 +278,8 @@ def _cmd_density_probe(args) -> int:
     misses = 0
     records = []
     if args.samples is not None:
+        if args.lo is not None or args.hi is not None:
+            raise RdsError("--samples must be used without --lo and --hi")  # it would drop them
         if args.samples < 1:
             raise RdsError(f"--samples must be >= 1, got {args.samples}")
         width = parse_rat(args.width)
@@ -310,7 +310,7 @@ def _probe_record(lo, hi, hit) -> dict:
     return {
         "psi": None if hit is None else str(hit),
         "gamma": None if hit is None or hit == 0 else min_hypotenuse(hit),
-        "class": None if hit is None else classify_ratio(hit).label,
+        "class": None if hit is None else classify_ratio(hit),
         "lo": str(lo),
         "hi": str(hi),
     }

@@ -21,14 +21,6 @@ from typing import Iterator
 from .errors import DomainError, EmptyInterval, NotARatio
 from .rat import Rat, ZERO, is_perfect_square, isqrt
 
-SIGN_POSITIVE = "positive"
-SIGN_NEGATIVE = "negative"
-SIGN_ZERO = "zero"
-ORDER_NATURAL = "naturally_ordered"
-ORDER_OPPOSITE = "oppositely_ordered"
-ORDER_NONE = "none"
-
-
 @dataclass(frozen=True)
 class Triplet:
     """An integer Pythagorean triplet with gamma > 0."""
@@ -36,25 +28,12 @@ class Triplet:
     alpha: int
     beta: int
     gamma: int
-    primitive: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha == 0 or self.beta == 0 or self.gamma <= 0:
             raise ValueError(f"degenerate triplet {(self.alpha, self.beta, self.gamma)}")
         if self.alpha**2 + self.beta**2 != self.gamma**2:
             raise ValueError(f"not Pythagorean: {(self.alpha, self.beta, self.gamma)}")
-
-
-@dataclass(frozen=True)
-class RatioClass:
-    """Sign and ordering class of a ratio (|psi| > 1 is naturally ordered)."""
-
-    sign: str
-    ordering: str
-
-    @property
-    def label(self) -> str:
-        return f"{self.sign}/{self.ordering}"
 
 
 @dataclass(frozen=True)
@@ -152,15 +131,15 @@ def min_hypotenuse(q: Rat) -> int:
     return root
 
 
-def classify_ratio(q: Rat) -> RatioClass:
-    """Sign/ordering class of a ratio; raises NotARatio for non-ratios."""
+def classify_ratio(q: Rat) -> str:
+    """The "sign/ordering" label of a ratio, where |psi| > 1 is naturally
+    ordered; raises NotARatio for non-ratios."""
     if not is_pythagorean_ratio(q):
         raise NotARatio(f"{q} is not a Pythagorean ratio")
     if q == 0:
-        return RatioClass(SIGN_ZERO, ORDER_NONE)
-    sign = SIGN_POSITIVE if q > 0 else SIGN_NEGATIVE
-    ordering = ORDER_NATURAL if abs(q) > 1 else ORDER_OPPOSITE
-    return RatioClass(sign, ordering)
+        return "zero/none"
+    sign = "positive" if q > 0 else "negative"
+    return f"{sign}/{'naturally_ordered' if abs(q) > 1 else 'oppositely_ordered'}"
 
 
 def nu(p: int, q: int) -> int:
@@ -180,9 +159,7 @@ def nu_triplet(p: int, q: int) -> Triplet | None:
         return None
     root, _ = isqrt(2 * q * (q - p))
     alpha = q - p + root
-    beta, gamma = alpha + p, alpha + q
-    primitive = math.gcd(math.gcd(alpha, beta), gamma) == 1
-    return Triplet(alpha, beta, gamma, primitive=primitive)
+    return Triplet(alpha, alpha + p, alpha + q)
 
 
 def find_ratio_in_interval(lo: Rat, hi: Rat, gamma_cap: int) -> Rat | None:
@@ -190,10 +167,13 @@ def find_ratio_in_interval(lo: Rat, hi: Rat, gamma_cap: int) -> Rat | None:
 
     Returns the ratio whose realizing triplet has the smallest hypotenuse
     <= gamma_cap (the zero ratio counts as smallest of all); ties within
-    a triplet resolve to the smaller value.  Deterministic.
+    a triplet resolve to the smaller value.  Deterministic.  A gamma_cap
+    below 1 is a DomainError, even when zero is the answer.
     """
     if lo >= hi:
         raise EmptyInterval(f"need lo < hi, got [{lo}, {hi}]")
+    if gamma_cap < 1:
+        raise DomainError(f"gamma_cap must be positive, got {gamma_cap}")
     if lo < 0 < hi:
         return ZERO
     # Staged caps: triplets are scanned in (gamma, alpha) order, so the

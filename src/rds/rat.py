@@ -47,11 +47,6 @@ def parse_rat(text: str) -> Rat:
     return Fraction(int(s))
 
 
-def format_rat(q: Rat) -> str:
-    """Render a rational in the canonical text form used everywhere."""
-    return str(q)
-
-
 def format_over(num: int, den: int) -> str:
     """The canonical text of num/den for integers with den > 0.
 

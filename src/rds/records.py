@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterable
 
@@ -40,24 +39,12 @@ class IoError(RdsError):
     """Failed to read or write an output path."""
 
 
-@dataclass(frozen=True)
-class RecordEnvelope:
-    """Header metadata written as the first line of a JSONL stream."""
-
-    kind: str
-    config: dict | None = None
-    schema_version: int = SCHEMA_VERSION
-    produced_by: str = PRODUCED_BY
-
-    def as_dict(self) -> dict:
-        record: dict = {
-            "schema_version": self.schema_version,
-            "produced_by": self.produced_by,
-            "kind": self.kind,
-        }
-        if self.config is not None:
-            record["config"] = self.config
-        return record
+def envelope(kind: str, config: dict | None = None) -> dict:
+    """The header record written as the first line of a JSONL stream."""
+    record: dict = {"schema_version": SCHEMA_VERSION, "produced_by": PRODUCED_BY, "kind": kind}
+    if config is not None:
+        record["config"] = config
+    return record
 
 
 def triplet_record(t: Triplet) -> dict:
@@ -66,7 +53,7 @@ def triplet_record(t: Triplet) -> dict:
 
 def ratio_record(q: Rat) -> dict:
     gamma = None if q == 0 else min_hypotenuse(q)
-    return {"psi": str(q), "gamma": gamma, "class": classify_ratio(q).label}
+    return {"psi": str(q), "gamma": gamma, "class": classify_ratio(q)}
 
 
 def _solution_texts(s: Solution) -> tuple[list[str], list[str], list[str]]:
@@ -162,7 +149,7 @@ def write_records(
     """
     count = 0
     if fmt == "jsonl":
-        out.write(json.dumps(RecordEnvelope(kind=kind, config=config).as_dict()) + "\n")
+        out.write(json.dumps(envelope(kind, config)) + "\n")
         out.flush()
         for record in records:
             out.write((solution_line(record) if isinstance(record, Solution) else json.dumps(record)) + "\n")

@@ -28,7 +28,6 @@ from .search import SearchConfig, count_solutions
 from .solver import (
     check_distinct,
     check_existence,
-    complete_psi,
     psi_from_x,
     solve_x,
     verify_rds,
@@ -90,7 +89,6 @@ class RowAnalysis:
     printed_psi: list[Rat]
     printed_x: list[Rat]
     derived_x: list[Rat]
-    derived_psi: list[Rat]
     status: str  # "consistent" | "erratum"
     x_match: bool
     # printed psi entries vs the completion of the printed head
@@ -101,7 +99,6 @@ class RowAnalysis:
     printed_x_failing: list[tuple[int, int]]
     derived_x_ok: bool
     head_existence_ok: bool
-    psi_of_printed_x: list[Rat]
     notes: list[str] = field(default_factory=list)
 
 
@@ -119,21 +116,21 @@ def analyze_example_row(label: str, n: int, psi_strs, x_strs) -> RowAnalysis:
     printed_x = [parse_rat(s) for s in x_strs]
     head = printed_psi[:n]
     derived_x = solve_x(head)
-    derived_psi = complete_psi(head)
     existence = check_existence(head)
+    completion = head + existence.tail
 
     x_match = derived_x == printed_x
     completion_mismatches = [
-        (k + 1, printed_psi[k], derived_psi[k])
+        (k + 1, printed_psi[k], completion[k])
         for k in range(len(printed_psi))
-        if printed_psi[k] != derived_psi[k]
+        if printed_psi[k] != completion[k]
     ]
     verdict = verify_rds(printed_x)
-    psi_of_printed_x = psi_from_x(printed_x)
+    pair_sums = psi_from_x(printed_x)
     pairsum_mismatches = [
-        (k + 1, printed_psi[k], psi_of_printed_x[k])
+        (k + 1, printed_psi[k], pair_sums[k])
         for k in range(len(printed_psi))
-        if printed_psi[k] != psi_of_printed_x[k]
+        if printed_psi[k] != pair_sums[k]
     ]
     derived_x_ok = (
         existence.ok and check_distinct(derived_x) and verify_rds(derived_x).ok
@@ -176,7 +173,6 @@ def analyze_example_row(label: str, n: int, psi_strs, x_strs) -> RowAnalysis:
         printed_psi=printed_psi,
         printed_x=printed_x,
         derived_x=derived_x,
-        derived_psi=derived_psi,
         status=status,
         x_match=x_match,
         completion_mismatches=completion_mismatches,
@@ -185,7 +181,6 @@ def analyze_example_row(label: str, n: int, psi_strs, x_strs) -> RowAnalysis:
         printed_x_failing=verdict.failing_pairs,
         derived_x_ok=derived_x_ok,
         head_existence_ok=existence.ok,
-        psi_of_printed_x=psi_of_printed_x,
         notes=notes,
     )
 

@@ -45,35 +45,15 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """The (n choose 2) x n 0/1 matrix with row i marking pair (m_i, n_i)."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def top_block(self) -> list[list[int]]:
-        return [list(r) for r in self.rows[: self.n]]
-
-    def top_block_det(self) -> int:
-        if self.n < 3:
-            raise BadN("the top block is square only for n >= 3")
-        det = exact_det(self.top_block())
-        assert det.denominator == 1
-        return det.numerator
-
-    def rank(self) -> int:
-        return exact_rank(self.rows)
-
-
-def coefficient_matrix(n: int) -> CoeffMatrix:
+def coefficient_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The (n choose 2) x n 0/1 rows, row i marking pair (m_i, n_i)."""
     rows = []
     for (i, j) in indices_set(n):
         row = [0] * n
         row[i - 1] = 1
         row[j - 1] = 1
         rows.append(tuple(row))
-    return CoeffMatrix(n=n, rows=tuple(rows))
+    return tuple(rows)
 
 
 def exact_det(rows: Sequence[Sequence[Rat]]) -> Fraction:
@@ -193,33 +173,6 @@ def complete_psi(head: Sequence[Rat]) -> list[Rat]:
             m_i, n_i = sub_pairs[i + 6 - 2 * n - 1]
             psi.append(pn + head[m_i + 1] + head[n_i + 1] - p1 - p2)
     return psi
-
-
-@dataclass(frozen=True)
-class PsiVector:
-    """A full length-C(n,2) ratio vector split into head and forced tail."""
-
-    n: int
-    entries: tuple[Rat, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != pair_count(self.n):
-            raise BadLength(
-                f"psi vector for n={self.n} needs {pair_count(self.n)} entries, "
-                f"got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_head(cls, head: Sequence[Rat]) -> "PsiVector":
-        return cls(n=len(head), entries=tuple(complete_psi(head)))
-
-    @property
-    def head(self) -> tuple[Rat, ...]:
-        return self.entries[: min(self.n, len(self.entries))]
-
-    @property
-    def tail(self) -> tuple[Rat, ...]:
-        return self.entries[min(self.n, len(self.entries)):]
 
 
 class ExistenceCheck(NamedTuple):

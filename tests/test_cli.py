@@ -219,6 +219,49 @@ def test_count_csv_keeps_the_bench_digest(capsys):
     )
 
 
+# sha256 of stdout for records built in the library layer: ratio classes,
+# completions and probe records
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["ratios", "--gamma-max", "65"], 0, "d9a93c93af8fdc146663b8c7b20ec6cfa5d6df8b01098a58ef43e5c3bd8e0865"),
+        (
+            ["ratios", "--gamma-max", "65", "--format", "csv"],
+            0,
+            "9e776188b82da3071805633f622ce1806e99207fe3171c0ea0be15897b6db115",
+        ),
+        (
+            ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0"],
+            0,
+            "6f24fd725a5517f292a58feaaeb0cb54c0b8682427fff4b53499ef264a4dde5e",
+        ),
+        (
+            ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0", "--format", "csv"],
+            0,
+            "fed7d515666fac7f1968e8af9de058b2adb21fb72dc0683a4d526f4c88fa2c6f",
+        ),
+        (
+            ["density-probe", "--samples", "20", "--gamma-cap", "1000", "--seed", "3"],
+            1,
+            "723d2c330cae3dc1fea60a5caf6d0bf52d223e9a9141f26407c66b72bb657096",
+        ),
+    ],
+    ids=["ratios-jsonl", "ratios-csv", "complete-jsonl", "complete-csv", "density-probe-samples"],
+)
+def test_library_records_keep_their_bytes(capsys, argv, code, digest):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_envelope_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--gamma-max", "13")
+    assert code == 0
+    assert hashlib.sha256(out.splitlines(keepends=True)[0].encode()).hexdigest() == (
+        "e4410b25f07606efb63bc8fa3f30f709419ff35ce7ba3e63b8e51ae99ac1341f"
+    )
+
+
 def test_density_probe_single_and_missing(capsys):
     code, out, _ = run_cli(capsys, "density-probe", "--lo", "1/2", "--hi", "11/20", "--gamma-cap", "25")
     assert code == 0
@@ -244,13 +287,30 @@ def test_density_probe_single_and_missing(capsys):
         (["--samples", "2", "--width", "7"], "--width"),
         (["--samples", "2", "--width", "0"], "--width"),
         (["--samples", "2", "--width", "-1/50"], "--width"),
+        # --samples draws its own intervals, so a given one would be dropped
+        (["--samples", "2", "--lo", "0", "--hi", "1"], "--samples"),
+        (["--samples", "2", "--lo", "0"], "--samples"),
+        (["--samples", "2", "--hi", "1"], "--samples"),
     ],
-    ids=["samples-negative", "samples-zero", "width-past-6", "width-zero", "width-negative"],
+    ids=[
+        "samples-negative", "samples-zero", "width-past-6", "width-zero", "width-negative",
+        "samples-with-interval", "samples-with-lo", "samples-with-hi",
+    ],
 )
 def test_density_probe_rejects_bad_sampling_flags(capsys, argv, flag):
     code, out, err = run_cli(capsys, "density-probe", "--gamma-cap", "25", *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"rds: {flag} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--lo", "-1", "--hi", "1"], ["--lo", "1/2", "--hi", "1"]], ids=["zero-inside", "zero-outside"]
+)
+@pytest.mark.parametrize("cap", ["0", "-7"])
+def test_density_probe_rejects_a_cap_below_1(capsys, bounds, cap):
+    code, out, err = run_cli(capsys, "density-probe", *bounds, "--gamma-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"rds: gamma_cap must be positive, got {cap}\n"
 
 
 def test_density_probe_widest_width_stays_inside(capsys):
@@ -342,23 +402,33 @@ def _rds_session(*argv, python_args=("-m", "rds")):
     )
 
 
+def _signal_group(proc, sig):
+    try:
+        os.killpg(proc.pid, sig)
+    except ProcessLookupError:
+        pass
+
+
 def _communicate(proc, timeout=120):
     # the pipes close only when every process holding them has exited; on a
-    # timeout, abort the whole group, which may outlive its leader, so that
-    # each process prints its threads' stacks, then kill what is left
+    # timeout, each process prints its threads' stacks on SIGABRT.  The child
+    # leads its group and is aborted alone first, so that its dump reaches
+    # the shared stderr pipe whole; then the rest of the group, which may
+    # outlive its leader, is aborted, and what is left is killed
     try:
         return proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGABRT)
+        proc.send_signal(signal.SIGABRT)
         try:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             pass
+        _signal_group(proc, signal.SIGABRT)
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        _, err = proc.communicate()
+            _, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            _signal_group(proc, signal.SIGKILL)
+            _, err = proc.communicate()
         pytest.fail(f"the child did not exit within {timeout} s; its stderr:\n{err}")
 
 

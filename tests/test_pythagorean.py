@@ -9,12 +9,6 @@ from hypothesis import example, given, strategies as st
 
 from rds.errors import DomainError, EmptyInterval, NotARatio
 from rds.pythagorean import (
-    ORDER_NATURAL,
-    ORDER_NONE,
-    ORDER_OPPOSITE,
-    SIGN_NEGATIVE,
-    SIGN_POSITIVE,
-    SIGN_ZERO,
     build_pool,
     classify_ratio,
     find_ratio_in_interval,
@@ -177,14 +171,9 @@ def test_min_hypotenuse():
 
 
 def test_classify_ratio():
-    assert classify_ratio(Fraction(4, 3)) == classify_ratio(Fraction(4, 3))
-    c = classify_ratio(Fraction(4, 3))
-    assert (c.sign, c.ordering) == (SIGN_POSITIVE, ORDER_NATURAL)
-    c = classify_ratio(Fraction(-3, 4))
-    assert (c.sign, c.ordering) == (SIGN_NEGATIVE, ORDER_OPPOSITE)
-    c = classify_ratio(Fraction(0))
-    assert (c.sign, c.ordering) == (SIGN_ZERO, ORDER_NONE)
-    assert c.label == "zero/none"
+    assert classify_ratio(Fraction(4, 3)) == "positive/naturally_ordered"
+    assert classify_ratio(Fraction(-3, 4)) == "negative/oppositely_ordered"
+    assert classify_ratio(Fraction(0)) == "zero/none"
     with pytest.raises(NotARatio):
         classify_ratio(Fraction(1, 2))
 
@@ -231,6 +220,14 @@ def test_find_ratio_in_interval_examples():
     assert find_ratio_in_interval(Fraction(1, 2), Fraction(11, 20), 5) is None
     with pytest.raises(EmptyInterval):
         find_ratio_in_interval(Fraction(1, 2), Fraction(1, 2), 10)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (Fraction(1, 2), 1)], ids=["zero-inside", "zero-outside"])
+@pytest.mark.parametrize("gamma_cap", [0, -7])
+def test_find_ratio_rejects_a_cap_below_1(lo, hi, gamma_cap):
+    # checked before the zero ratio is returned, and named as the caller's parameter
+    with pytest.raises(DomainError, match=f"^gamma_cap must be positive, got {gamma_cap}$"):
+        find_ratio_in_interval(Fraction(lo), Fraction(hi), gamma_cap)
 
 
 def test_find_ratio_result_is_valid_and_minimal():

@@ -7,8 +7,8 @@ import pytest
 
 from rds.pythagorean import build_pool, primitive_triplets
 from rds.records import (
-    RecordEnvelope,
     count_record,
+    envelope,
     parse_solution_record,
     ratio_record,
     read_jsonl,
@@ -28,7 +28,7 @@ def fig1_solution():
 
 
 def test_envelope_fields():
-    env = RecordEnvelope(kind="solution", config={"n": 3}).as_dict()
+    env = envelope("solution", {"n": 3})
     assert env["schema_version"] == 1
     assert env["produced_by"].startswith("rds ")
     assert env["kind"] == "solution"

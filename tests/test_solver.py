@@ -1,10 +1,12 @@
 """Index bookkeeping, closed-form solver, conditions, distance oracle."""
 
+import ast
 import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,21 +57,19 @@ def test_indices_set_position_n_is_23():
 
 
 def test_coefficient_matrix_structure():
-    m = coefficient_matrix(3)
-    assert m.rows == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    assert coefficient_matrix(3) == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
     for n in range(2, 13):
-        cm = coefficient_matrix(n)
-        for row, (i, j) in zip(cm.rows, indices_set(n)):
+        for row, (i, j) in zip(coefficient_matrix(n), indices_set(n)):
             assert sum(row) == 2
             assert row[i - 1] == 1 and row[j - 1] == 1
 
 
 def test_rank_and_determinant():
-    assert coefficient_matrix(2).rank() == 1
+    assert exact_rank(coefficient_matrix(2)) == 1
     for n in range(3, 13):
-        cm = coefficient_matrix(n)
-        assert cm.rank() == n
-        assert cm.top_block_det() == (2 if n % 2 == 0 else -2)
+        rows = coefficient_matrix(n)
+        assert exact_rank(rows) == n
+        assert exact_det(rows[:n]) == (2 if n % 2 == 0 else -2)
 
 
 def test_head_inverse_closed_form_n3():
@@ -83,7 +83,7 @@ def test_head_inverse_closed_form_n3():
 def test_head_inverse_times_top_block_is_identity():
     for n in range(3, 13):
         inv = head_inverse(n)
-        top = coefficient_matrix(n).top_block()
+        top = coefficient_matrix(n)[:n]
         for i in range(n):
             for j in range(n):
                 entry = sum(inv[i][k] * top[k][j] for k in range(n))
@@ -489,14 +489,20 @@ def test_every_head_entry_is_a_pair_sum():
         assert all(is_pythagorean_ratio(v) for v in head)
 
 
-def test_psi_vector_head_tail_split():
-    from rds.solver import PsiVector
-
-    v = PsiVector.from_head(rats("-35/12,-4/3,-7/24,-3/4"))
-    assert v.n == 4
-    assert list(v.head) == rats("-35/12,-4/3,-7/24,-3/4")
-    assert list(v.tail) == rats("7/24,15/8")
-    whole = PsiVector.from_head(rats("4/3,8/15,12/5"))
-    assert whole.tail == ()
-    with pytest.raises(BadLength):
-        PsiVector(n=4, entries=tuple(rats("1,2,3")))
+def test_readme_library_block_gives_its_commented_values():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
+    assert comments == ["[28/9, 272/225, 52/25]", "17 ratios, T = 4", "680"]
+    # run the block statement by statement, keeping each bare expression's value
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    distances, theta_all = values
+    assert [str(d) for d in distances] == ["28/9", "272/225", "52/25"]
+    pool = namespace["pool"]
+    assert (len(pool.ratios), pool.primitive_count) == (17, 4)
+    assert theta_all == 680
