@@ -282,10 +282,10 @@ def _cmd_density_probe(args) -> int:
             raise RdsError("--samples must be used without --lo and --hi")  # it would drop them
         if args.samples < 1:
             raise RdsError(f"--samples must be >= 1, got {args.samples}")
-        width = parse_rat(args.width)
+        width = parse_rat("1/50" if args.width is None else args.width)
         if not 0 < width <= 6:
             raise RdsError(f"--width must be in (0, 6], got {args.width}")
-        rng = random.Random(args.seed)
+        rng = random.Random(0 if args.seed is None else args.seed)
         grid = 600
         # keep sampled subintervals inside (-3, 3)
         hi_limit = 3 * grid - max(1, int(width * grid))
@@ -296,6 +296,9 @@ def _cmd_density_probe(args) -> int:
             records.append(_probe_record(lo, hi, hit))
             misses += hit is None
     else:
+        for flag, value in (("--width", args.width), ("--seed", args.seed)):
+            if value is not None:
+                raise RdsError(f"{flag} must be used with --samples")  # it would be ignored
         if args.lo is None or args.hi is None:
             raise RdsError("density-probe needs --lo and --hi (or --samples)")
         lo, hi = parse_rat(args.lo), parse_rat(args.hi)
@@ -410,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi")
     p.add_argument("--gamma-cap", type=int, required=True)
     p.add_argument("--samples", type=int, help="probe this many random width --width subintervals of (-3,3)")
-    p.add_argument("--width", default="1/50")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", help="sampled subinterval width, with --samples (default: 1/50)")
+    p.add_argument("--seed", type=int, help="sampling seed, with --samples (default: 0)")
     add_output_flags(p)
     p.set_defaults(func=_cmd_density_probe)
 

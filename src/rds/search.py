@@ -22,17 +22,20 @@ so keys sort as their abscissae do.  The kernels work in integers, on the
 pool's numerators over L / 2, where the closed form
 (``solver.solve_x_scaled``) gives x * L with no division.
 
-The runner splits the remaining ranks into contiguous chunks and reads
-their results in rank order, whether they run in this process or on the
-process's one worker pool (``_worker_pool``).  n = 3 chunks always run
-here: every n = 3 head is a set and the runner keeps every key, so
-receiving a key from a worker costs at least as much as building it.
-Each chunk's keys are folded into the found map and, with a checkpoint
-path, appended to the checkpoint log with a commit line before the next
-chunk is read (``_load_checkpoint``); a run stopped early, by request or
-by an interrupt, resumes from the last commit.  ``search`` runs all of
-this before it returns, so a failed run raises before its caller writes
-a byte.
+A chunk is a contiguous rank range, and chunks exist for two jobs only:
+a checkpoint commits after each one, and the process's one worker pool
+(``_worker_pool``) takes them as work units.  n = 3 chunks never go to the
+pool: every n = 3 head is a set and the runner keeps every key, so
+receiving a key from a worker costs at least as much as building it.  A
+run with neither job is one chunk over the remaining ranks, run in this
+process, and that chunk's map is the run's map.  Otherwise the runner
+reads the chunks' results in rank order and folds each chunk's keys into
+the found map; with a checkpoint path it appends them to the checkpoint
+log with a commit line before the next chunk is read
+(``_load_checkpoint``), so a run stopped early, by request or by an
+interrupt, resumes from the last commit.  ``search`` runs all of this
+before it returns, so a failed run raises before its caller writes a
+byte.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ import math
 import os
 import time
 from bisect import bisect_left
-from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
+from operator import countOf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
@@ -449,6 +452,11 @@ def _discard_pool() -> None:
 atexit.register(_discard_pool)
 
 
+def _on_pool(config: SearchConfig) -> bool:
+    """Whether a run's chunks go to the worker pool (never for n = 3)."""
+    return config.workers > 1 and config.n > 3
+
+
 def _chunk_results(
     config: SearchConfig,
     ratios: tuple[Fraction, ...],
@@ -466,7 +474,7 @@ def _chunk_results(
     chunks and keeps the pool; any other failure, while the chunks are
     submitted or read, discards it.
     """
-    if config.workers == 1 or config.n == 3 or len(chunks) <= 1:
+    if not _on_pool(config) or len(chunks) <= 1:
         for lo, hi in chunks:
             yield process_range(config.n, ratios, config.enumeration_mode, lo, hi, known=found)
         return
@@ -576,12 +584,15 @@ def run_enumeration(
     pool: RatioPool,
     stop_after_ranges: int | None = None,
 ) -> tuple[dict[int, int], bool]:
-    """Enumerate the whole rank space, in chunks, optionally in parallel.
+    """Enumerate the whole rank space, in chunks where a checkpoint commits
+    them or the pool runs them, and in one chunk otherwise.
 
     Returns (found, completed); found maps each canonical key to its flag
     bits.  A key is an int that ``_key_codec(config.n, pool.ratios)``
     decodes into the ascending abscissae over
     ``_key_denominator(pool.ratios)``; the checkpoint holds them decoded.
+    A run without a checkpoint path whose chunks stay in this process is
+    one ``process_range`` call over [0, M), and found is that call's map.
     ``stop_after_ranges`` halts after that many chunk boundaries in this
     call, which together with a checkpoint path models a kill/resume at a
     rank boundary.
@@ -593,33 +604,45 @@ def run_enumeration(
         )
     echo = config.echo(pool)
     total = echo["total_ranks"]
-    den = _key_denominator(pool.ratios)
-    codec = _key_codec(config.n, pool.ratios)
 
     found: dict[int, int] = {}
-    start_rank = 0
+    start_rank = gp_so_far = 0
     ckpt = config.checkpoint_path
-    if ckpt and os.path.exists(ckpt):
-        start_rank, found = _load_checkpoint(ckpt, echo, den, codec)
-    elif ckpt:
-        with open(ckpt, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"config": echo, "schema_version": _CHECKPOINT_SCHEMA}, sort_keys=True) + "\n")
-    gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
+    if ckpt:
+        # the log holds keys decoded, as integers over den
+        den = _key_denominator(pool.ratios)
+        codec = _key_codec(config.n, pool.ratios)
+        if os.path.exists(ckpt):
+            start_rank, found = _load_checkpoint(ckpt, echo, den, codec)
+            gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
+        else:
+            with open(ckpt, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"config": echo, "schema_version": _CHECKPOINT_SCHEMA}, sort_keys=True) + "\n")
 
     remaining = total - start_rank
-    chunks = [
-        (lo + start_rank, hi + start_rank)
-        for lo, hi in partition_space(remaining, max(config.workers, min(64, remaining)))
-        if hi > lo
-    ]
+    # chunks are checkpoint commit units and pool work units
+    if ckpt or _on_pool(config):
+        chunks = [
+            (lo + start_rank, hi + start_rank)
+            for lo, hi in partition_space(remaining, max(config.workers, min(64, remaining)))
+            if hi > lo
+        ]
+    else:
+        chunks = [(start_rank, total)] if remaining else []
 
     def finish_chunk(partial: Partial) -> None:
-        # append the chunk's new keys, then the commit line that makes them count
-        nonlocal gp_so_far
+        nonlocal found, gp_so_far
+        if not found and not ckpt:
+            # the run's map is the first chunk's, not a copy of it: an
+            # in-process chunk reads the map it was handed, and a run
+            # without a checkpoint has at most one such chunk
+            found = partial.found
+            return
         fresh = [k for k in partial.found if k not in found] if ckpt else []
         # a key's flags depend only on its x: re-storing a known key changes nothing
         found.update(partial.found)
         if ckpt:
+            # append the chunk's new keys, then the commit line that makes them count
             gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
             commit = {"next_rank": partial.rank_hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
             with open(ckpt, "a", encoding="utf-8") as fh:
@@ -666,22 +689,26 @@ def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
     t0 = time.perf_counter()
     found, _ = run_enumeration(config, pool)
     elapsed = time.perf_counter() - t0
-    by_flags = Counter(found.values())
+    flags = found.values()
     theta_all = len(found)
-    theta_gp = sum(c for f, c in by_flags.items() if f & FLAG_GP)
     exclusions: dict[str, int] = {}
     extra_sets: list[tuple[Rat, ...]] = []
     if config.n == 3:
         # n = 3 flags: FLAG_GP, FLAG_ZERO_SUM alone (a mirror set), or both
         extra = FLAG_GP | FLAG_ZERO_SUM
-        exclusions = {"mirror_zero": theta_all - theta_gp, "zero_sum_extra": by_flags[extra]}
-        if by_flags[extra]:
+        mirror, extras = countOf(flags, FLAG_ZERO_SUM), countOf(flags, extra)
+        theta_gp = theta_all - mirror
+        exclusions = {"mirror_zero": mirror, "zero_sum_extra": extras}
+        if extras:
             den = _key_denominator(pool.ratios)
             unpack = _key_codec(3, pool.ratios).unpack
             extra_sets = [
                 tuple(Fraction(v, den) for v in unpack(k))
-                for k in sorted(compress(found, map(extra.__eq__, found.values())))
+                for k in sorted(compress(found, map(extra.__eq__, flags)))
             ]
+    else:
+        # n >= 4 flags: FLAG_GP or none
+        theta_gp = countOf(flags, FLAG_GP)
     return CountReport(
         n=config.n,
         gamma_bound=config.gamma_bound,

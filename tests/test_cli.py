@@ -219,6 +219,41 @@ def test_count_csv_keeps_the_bench_digest(capsys):
     )
 
 
+# sha256 of the n = 3 --breakdown stdout, taken while every run was cut
+# into chunks and its flags tallied with a Counter
+@pytest.mark.parametrize(
+    "gamma, zero, digest",
+    [
+        ("109", [], "b6014fef61aafe7956d309f8430cf9992c28a9c9ce79531fbfb590d62c43fbb8"),
+        ("109", ["--no-zero"], "d5b1132ccdbcdddd69ae692036cff96d194894a603cd417fa729193af57f862d"),
+        ("145", [], "211ca167cf0a42fab7cb2648f8c93f66cc861ff180a4bd3ade507e4dc398d8b4"),
+        ("145", ["--no-zero"], "dc8febcb9ea437629d7dc8efd9637156221d233e8378c1d6fa856468e0c3ce97"),
+        ("301", [], "2881a365e18b7be5d6157d881be5666b07c4a3c503d935a746834ddc0a616f96"),
+        ("301", ["--no-zero"], "41482e8b4d5ea4e34ef9184d9da4b7475f96d8131d0f58eb0aaaef78e1634f3d"),
+    ],
+    ids=["g109", "g109-no-zero", "g145", "g145-no-zero", "g301", "g301-no-zero"],
+)
+def test_count_breakdown_keeps_its_digest(capsys, gamma, zero, digest):
+    argv = ["count", "--n", "3", "--format", "jsonl", "--breakdown", "--gamma-list", gamma, *zero]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("ordered", "0de11d90b07a3dcdfac4f0a9d5690367512a41a53085d36838e150f9686180fe"),
+        ("multiset", "9b357ae553c93650ee2ada6bf8b9d834d548c4436ac2a0ffcaec393738da5c8c"),
+        ("subset", "2963e6fe7deb52ff900dcf24d66e8c6814caa8ef04d8d98ffcb5f8710a2ee41b"),
+    ],
+)
+def test_count_n4_keeps_its_digest(capsys, mode, digest):
+    code, out, _ = run_cli(capsys, "count", "--n", "4", "--gamma-list", "25,41", "--mode", mode)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of stdout for records built in the library layer: ratio classes,
 # completions and probe records
 @pytest.mark.parametrize(
@@ -291,10 +326,19 @@ def test_density_probe_single_and_missing(capsys):
         (["--samples", "2", "--lo", "0", "--hi", "1"], "--samples"),
         (["--samples", "2", "--lo", "0"], "--samples"),
         (["--samples", "2", "--hi", "1"], "--samples"),
+        # only --samples draws intervals, so a width or a seed without it would be ignored
+        (["--lo", "1/2", "--hi", "1", "--width", "7"], "--width"),
+        (["--lo", "1/2", "--hi", "1", "--width", "1/50"], "--width"),
+        (["--lo", "1/2", "--hi", "1", "--seed", "5"], "--seed"),
+        (["--lo", "1/2", "--hi", "1", "--seed", "0"], "--seed"),
+        (["--lo", "1/2", "--hi", "1", "--width", "7", "--seed", "5"], "--width"),
+        (["--width", "1/50"], "--width"),
     ],
     ids=[
         "samples-negative", "samples-zero", "width-past-6", "width-zero", "width-negative",
         "samples-with-interval", "samples-with-lo", "samples-with-hi",
+        "width-without-samples", "default-width-without-samples", "seed-without-samples",
+        "default-seed-without-samples", "width-and-seed-without-samples", "width-alone",
     ],
 )
 def test_density_probe_rejects_bad_sampling_flags(capsys, argv, flag):

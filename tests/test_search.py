@@ -645,6 +645,89 @@ def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, fresh_pool, n,
         assert list(run_enumeration(ckpt, pool)[0].items()) == items
 
 
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """The (lo, hi) of every ``process_range`` call, and each call's map."""
+    calls, maps = [], []
+
+    def recording(n, ratios, mode, lo, hi, known=()):
+        calls.append((lo, hi))
+        partial = process_range(n, ratios, mode, lo, hi, known=known)
+        maps.append(partial.found)
+        return partial
+
+    monkeypatch.setattr(rds_search, "process_range", recording)
+    return calls, maps
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
+def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, fresh_pool, chunk_calls, n, make_pool, mode):
+    # chunks are checkpoint commit units and pool work units: a run in this
+    # process without a checkpoint is one call over [0, M), whose map is the run's
+    calls, maps = chunk_calls
+    pool = make_pool()
+    M = len(pool.ratios)
+    cfg = SearchConfig(n=n, gamma_bound=pool.gamma_bound, enumeration_mode=mode)
+    found, completed = run_enumeration(cfg, pool)
+    assert completed and calls == [(0, M)] and maps[0] is found
+    items = list(found.items())
+
+    # with a checkpoint, one chunk an outer index, as many as 64
+    calls.clear()
+    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
+    assert list(run_enumeration(ckpt, pool)[0].items()) == items
+    assert calls == [r for r in partition_space(M, min(64, M)) if r[1] > r[0]] and len(calls) > 1
+
+    # on 2 workers, n >= 4 chunks run on the pool, where no call is recorded
+    calls.clear()
+    assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
+    assert calls == ([(0, M)] if n == 3 else [])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_key_codec_is_built_only_for_a_checkpoint(tmp_path, monkeypatch, n):
+    built = []
+
+    def counting(name):
+        original = getattr(rds_search, name)
+
+        def wrapper(*args):
+            built.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_key_denominator", "_key_codec"):
+        monkeypatch.setattr(rds_search, name, counting(name))
+    pool = build_pool(25)
+    cfg = SearchConfig(n=n, gamma_bound=25)
+    found, _ = run_enumeration(cfg, pool)
+    assert built == []
+    assert run_enumeration(replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt")), pool)[0] == found
+    assert built == ["_key_denominator", "_key_codec"]
+
+
+@pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
+@pytest.mark.parametrize("n, gamma", [(3, 109), (3, 145), (4, 41), (5, 145)])
+def test_count_tallies_the_flags(n, gamma, include_zero):
+    # theta_gp and the breakdown against a per-key recount of the run's flags
+    pool = build_pool(gamma, include_zero=include_zero)
+    cfg = SearchConfig(n=n, gamma_bound=gamma, include_zero=include_zero)
+    found, _ = run_enumeration(cfg, pool)
+    report = count_solutions(cfg, pool)
+    assert report.theta_all == len(found)
+    assert report.theta_gp == sum(1 for f in found.values() if f & FLAG_GP)
+    if n == 3:
+        extra = sum(1 for f in found.values() if f == FLAG_GP | FLAG_ZERO_SUM)
+        mirror = sum(1 for f in found.values() if not f & FLAG_GP)
+        assert report.exclusions == {"mirror_zero": mirror, "zero_sum_extra": extra}
+        assert len(report.extra_zero_sum_sets) == extra
+        assert (mirror > 0) == include_zero
+    else:
+        assert report.exclusions == {} and report.extra_zero_sum_sets == []
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("gamma", [25, 41])
 def test_one_worker_solves_each_n4_set_once(monkeypatch, gamma, mode):
