@@ -21,9 +21,7 @@ from .solver import (
     check_distinct,
     check_existence,
     check_general_position,
-    coefficient_matrix,
     complete_psi,
-    head_inverse,
     indices_set,
     psi_from_x,
     solution_from_x,

@@ -63,7 +63,7 @@ _MODE_HELP = (
     "heads tried: ordered, all (for n >= 4 one per psi_1 <-> psi_2 swap, which gives the same sets); "
     "multiset, pool indices never decrease; subset, they strictly increase"
 )
-_WORKERS_HELP = "worker processes for n >= 4 (default: RDS_WORKERS or 1); n = 3 always runs in one process"
+_WORKERS_HELP = "accepted for compatibility and has no effect: every run is one process (default: RDS_WORKERS or 1)"
 
 
 def _default_workers() -> int:
@@ -337,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rds",
         description="Construct, verify, enumerate and count rational distance sets on y = x^2.",
-        epilog="Environment: RDS_WORKERS sets the default for --workers of search and count; NO_COLOR is honored.",
+        epilog=(
+            "Environment: RDS_WORKERS sets the default for --workers of search and count; "
+            "both are accepted and have no effect, since every run is one process. NO_COLOR is honored."
+        ),
     )
     parser.add_argument("--version", action="version", version=f"rds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,39 +14,33 @@ kernel's outermost loop, so every n and mode has M ranks:
   keeps heads whose pool indices never decrease, subset mode heads whose
   indices strictly increase.
 
-Solutions are deduplicated by a canonical key, so worker count and
-partition boundaries never affect the result.  A key is one ``int``: the
-ascending abscissae x_i * L for one pool-wide denominator L
-(``_key_denominator``), packed into fixed-width fields (``_KeyCodec``),
-so keys sort as their abscissae do.  The kernels work in integers, on the
-pool's numerators over L / 2, where the closed form
-(``solver.solve_x_scaled``) gives x * L with no division.
+Solutions are deduplicated by a canonical key, so partition boundaries
+never affect the result.  A key is one ``int``: the ascending abscissae
+x_i * L for one pool-wide denominator L (``_key_denominator``), packed
+into fixed-width fields (``_KeyCodec``), so keys sort as their abscissae
+do.  The kernels work in integers, on the pool's numerators over L / 2,
+where the closed form (``solver.solve_x_scaled``) gives x * L with no
+division.
 
-A chunk is a contiguous rank range, and chunks exist for two jobs only:
-a checkpoint commits after each one, and the process's one worker pool
-(``_worker_pool``) takes them as work units.  n = 3 chunks never go to the
-pool: every n = 3 head is a set and the runner keeps every key, so
-receiving a key from a worker costs at least as much as building it.  A
-run with neither job is one chunk over the remaining ranks, run in this
-process, and that chunk's map is the run's map.  Otherwise the runner
-reads the chunks' results in rank order and folds each chunk's keys into
-the found map; with a checkpoint path it appends them to the checkpoint
-log with a commit line before the next chunk is read
-(``_load_checkpoint``), so a run stopped early, by request or by an
-interrupt, resumes from the last commit.  ``search`` runs all of this
-before it returns, so a failed run raises before its caller writes a
-byte.
+Every run is one process.  A chunk is a contiguous rank range, and chunks
+exist only as checkpoint commit units: a run without a checkpoint path is
+one chunk over the remaining ranks, and that chunk's map is the run's map.
+With a checkpoint path the runner runs the chunks in rank order, each
+seeing the keys the run already holds; it folds each chunk's new keys into
+the found map and appends them to the checkpoint log with a commit line
+before the next chunk runs (``_load_checkpoint``), so a run stopped early,
+by request or by an interrupt, resumes from the last commit.  ``search``
+runs all of this before it returns, so a failed run raises before its
+caller writes a byte.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import math
 import os
 import time
 from bisect import bisect_left
-from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
@@ -95,7 +89,7 @@ class SearchConfig:
     include_zero: bool = True
     enumeration_mode: str = MODE_ORDERED
     gp_filter: str = GP_ANNOTATE
-    workers: int = 1
+    workers: int = 1  # validated and kept for callers; every run is one process
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -150,13 +144,13 @@ def total_ranks(mode: str, pool_size: int, n: int) -> int:
     return pool_size
 
 
-def partition_space(total_rank_count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous, disjoint, covering half-open rank ranges, balanced within 1."""
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    q, r = divmod(total_rank_count, workers)
+def partition_space(total_rank_count: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous, disjoint, covering half-open rank ranges, balanced within 1."""
+    if parts < 1:
+        raise DomainError(f"parts must be >= 1, got {parts}")
+    q, r = divmod(total_rank_count, parts)
     # range w holds q ranks, and one more while w < r
-    bounds = [w * q + min(w, r) for w in range(workers + 1)]
+    bounds = [w * q + min(w, r) for w in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -363,141 +357,18 @@ def process_range(
 
     ``known`` holds keys found before this range; for n >= 4 they are left
     out of the result and not solved again.  (An n = 3 set has one rank,
-    so a range never meets a key found in another.)
+    so a range never meets a key found in another.)  The result therefore
+    holds only keys new to ``known``, each with its flag bits.
     """
-    # numerators over lcm(pool denominators) = L / 2
-    h, half = _over_lcm(ratios)
-    return _scan_range(n, mode, h, half, lo, hi, known)
-
-
-def _scan_range(
-    n: int, mode: str, h: list[int], half: int, lo: int, hi: int, known=()
-) -> Partial:
-    """``process_range`` on the pool's numerators ``h`` over ``half``; what a
-    pool worker runs, so that a chunk ships integers only."""
     found: dict[int, int] = {}
     if hi > lo:
+        # numerators over lcm(pool denominators) = L / 2
+        h, half = _over_lcm(ratios)
         if n == 3:
             _scan_triples(h, lo, hi, found)
         else:
             _scan_blocks(h, half, n, mode, lo, hi, found, known)
     return Partial(rank_hi=hi, found=found)
-
-
-# (workers, executor, pipe) of the process's one pool, started on first use
-_pool: tuple | None = None
-
-
-def _worker_pool(workers: int):
-    """The process's pool of ``workers`` processes, kept between runs.
-
-    It is started on the first chunk loop sent to a pool and replaced when
-    a run asks for another worker count; the old pool's threads are joined
-    before the new one forks its workers, with a pipe whose write end only
-    this process keeps open (see ``_worker_init``).
-    """
-    global _pool
-    if _pool is not None and _pool[0] != workers:
-        _discard_pool()
-    if _pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pipe = os.pipe()
-        executor = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init,
-            initargs=pipe,
-        )
-        _pool = (workers, executor, pipe)
-    return _pool[1]
-
-
-def _worker_init(read_fd: int, write_fd: int) -> None:
-    """A pool worker's set-up: ignore SIGINT and watch the parent.
-
-    Ctrl-C reaches the whole process group, and the runner handles it.  A
-    worker closes its inherited write end of the pipe; a daemon thread then
-    reads the read end, which gives end-of-file, and exits the worker, once
-    the parent is gone (SIGKILL, an OOM kill, ``os._exit``) without having
-    shut the pool down.
-    """
-    import signal
-    import threading
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.close(write_fd)
-    threading.Thread(target=_exit_at_eof, args=(read_fd,), daemon=True).start()
-
-
-def _exit_at_eof(fd: int) -> None:
-    while os.read(fd, 1):  # nothing is ever written
-        pass
-    os._exit(1)
-
-
-def _discard_pool() -> None:
-    """Shut the pool down, cancelling its queued chunks; the next run starts afresh."""
-    global _pool
-    if _pool is not None:
-        _, executor, pipe = _pool
-        _pool = None
-        executor.shutdown(cancel_futures=True)
-        for fd in pipe:
-            os.close(fd)
-
-
-# shut the pool down while the modules it uses are still whole
-atexit.register(_discard_pool)
-
-
-def _on_pool(config: SearchConfig) -> bool:
-    """Whether a run's chunks go to the worker pool (never for n = 3)."""
-    return config.workers > 1 and config.n > 3
-
-
-def _chunk_results(
-    config: SearchConfig,
-    ratios: tuple[Fraction, ...],
-    chunks: list[tuple[int, int]],
-    found: dict[int, int],
-) -> Iterator[Partial]:
-    """Each chunk's Partial, in rank order: in this process, or on the pool.
-
-    n = 3 chunks always run in this process (see the module docstring).  A
-    chunk run here sees ``found``, the run's map as the caller has folded
-    it so far, and returns only keys new to the run.  A chunk sent to the
-    pool is the pool's integer numerators and its rank range.  Each result
-    is yielded and its future dropped at once, so only the chunks not yet
-    read are held.  Closing the generator early cancels this run's queued
-    chunks and keeps the pool; any other failure, while the chunks are
-    submitted or read, discards it.
-    """
-    if not _on_pool(config) or len(chunks) <= 1:
-        for lo, hi in chunks:
-            yield process_range(config.n, ratios, config.enumeration_mode, lo, hi, known=found)
-        return
-    h, half = _over_lcm(ratios)
-    executor = _worker_pool(config.workers)
-    n, mode = config.n, config.enumeration_mode
-    futures = []
-    try:
-        for lo, hi in chunks:
-            futures.append(executor.submit(_scan_range, n, mode, h, half, lo, hi))
-        futures.reverse()  # popped from the end, in submission order
-        while futures:
-            yield futures.pop().result()
-    except GeneratorExit:  # closed early: the pool is whole
-        raise
-    except BaseException:
-        # a worker died, an interrupt, an exception in a chunk: the pool may
-        # be broken, busy, or hold a chunk that was never queued
-        _discard_pool()
-        raise
-    finally:
-        for future in futures:
-            future.cancel()
 
 
 # --- checkpointing ---------------------------------------------------------
@@ -584,18 +455,20 @@ def run_enumeration(
     pool: RatioPool,
     stop_after_ranges: int | None = None,
 ) -> tuple[dict[int, int], bool]:
-    """Enumerate the whole rank space, in chunks where a checkpoint commits
-    them or the pool runs them, and in one chunk otherwise.
+    """Enumerate the whole rank space in this process: in chunks where a
+    checkpoint commits them, and in one chunk otherwise.
 
     Returns (found, completed); found maps each canonical key to its flag
     bits.  A key is an int that ``_key_codec(config.n, pool.ratios)``
     decodes into the ascending abscissae over
     ``_key_denominator(pool.ratios)``; the checkpoint holds them decoded.
-    A run without a checkpoint path whose chunks stay in this process is
-    one ``process_range`` call over [0, M), and found is that call's map.
-    ``stop_after_ranges`` halts after that many chunk boundaries in this
-    call, which together with a checkpoint path models a kill/resume at a
-    rank boundary.
+    A run without a checkpoint path is one ``process_range`` call over
+    [0, M), and found is that call's map.  With one, the remaining ranks
+    are cut into min(64, remaining) chunks, and each ``process_range`` call
+    is handed the run's map as ``known``.  ``config.workers`` changes
+    nothing.  ``stop_after_ranges`` halts after that many chunk boundaries
+    in this call, which together with a checkpoint path models a
+    kill/resume at a rank boundary.
     """
     if pool.gamma_bound != config.gamma_bound or pool.include_zero != config.include_zero:
         raise ConfigMismatch(
@@ -620,43 +493,35 @@ def run_enumeration(
                 fh.write(json.dumps({"config": echo, "schema_version": _CHECKPOINT_SCHEMA}, sort_keys=True) + "\n")
 
     remaining = total - start_rank
-    # chunks are checkpoint commit units and pool work units
-    if ckpt or _on_pool(config):
-        chunks = [
-            (lo + start_rank, hi + start_rank)
-            for lo, hi in partition_space(remaining, max(config.workers, min(64, remaining)))
-            if hi > lo
-        ]
+    # chunks are checkpoint commit units, one an outer index, as many as 64
+    if ckpt and remaining:
+        chunks = [(lo + start_rank, hi + start_rank) for lo, hi in partition_space(remaining, min(64, remaining))]
     else:
         chunks = [(start_rank, total)] if remaining else []
 
     def finish_chunk(partial: Partial) -> None:
         nonlocal found, gp_so_far
-        if not found and not ckpt:
-            # the run's map is the first chunk's, not a copy of it: an
-            # in-process chunk reads the map it was handed, and a run
-            # without a checkpoint has at most one such chunk
+        if not ckpt:
+            # the run's one chunk: its map is the run's, not a copy of it
             found = partial.found
             return
-        fresh = [k for k in partial.found if k not in found] if ckpt else []
-        # a key's flags depend only on its x: re-storing a known key changes nothing
+        # a chunk returns only keys the run does not hold yet
         found.update(partial.found)
-        if ckpt:
-            # append the chunk's new keys, then the commit line that makes them count
-            gp_so_far += sum(1 for k in fresh if partial.found[k] & FLAG_GP)
-            commit = {"next_rank": partial.rank_hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
-            with open(ckpt, "a", encoding="utf-8") as fh:
-                for k in fresh:
-                    fh.write(json.dumps({"x": [format_over(v, den) for v in codec.unpack(k)]}) + "\n")
-                fh.write(json.dumps(commit) + "\n")
+        # append the chunk's keys, then the commit line that makes them count
+        gp_so_far += sum(f & FLAG_GP for f in partial.found.values())
+        commit = {"next_rank": partial.rank_hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
+        with open(ckpt, "a", encoding="utf-8") as fh:
+            for k in partial.found:
+                fh.write(json.dumps({"x": [format_over(v, den) for v in codec.unpack(k)]}) + "\n")
+            fh.write(json.dumps(commit) + "\n")
 
     completed = True
-    with closing(_chunk_results(config, pool.ratios, chunks, found)) as partials:
-        for done, partial in enumerate(partials, 1):
-            finish_chunk(partial)
-            if stop_after_ranges is not None and done >= stop_after_ranges and partial.rank_hi < total:
-                completed = False
-                break
+    for done, (lo, hi) in enumerate(chunks, 1):
+        # through the module global, where a caller may wrap it
+        finish_chunk(process_range(config.n, pool.ratios, config.enumeration_mode, lo, hi, known=found))
+        if stop_after_ranges is not None and done >= stop_after_ranges and hi < total:
+            completed = False
+            break
 
     if completed and ckpt:
         os.remove(ckpt)

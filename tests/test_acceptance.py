@@ -40,16 +40,14 @@ from rds.solver import (
     check_distinct,
     check_existence,
     check_general_position,
-    coefficient_matrix,
     complete_psi,
-    exact_det,
-    exact_rank,
-    head_inverse,
     indices_set,
     psi_from_x,
     solve_x,
     verify_rds,
 )
+
+from matrix_reference import coefficient_matrix, exact_det, exact_rank, head_inverse
 
 
 def report(k, ok, detail):

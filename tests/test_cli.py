@@ -439,158 +439,62 @@ def test_count_checks_every_bound_before_writing(tmp_path, capsys):
 
 
 def _rds_session(*argv, python_args=("-m", "rds")):
-    # its own process group, so that the group is the child and its workers
+    # its own process group, so that a signal to the group, as Ctrl-C in a
+    # terminal sends, reaches the child and not the test
     return subprocess.Popen(
         [sys.executable, *python_args, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(), start_new_session=True,
     )
 
 
-def _signal_group(proc, sig):
-    try:
-        os.killpg(proc.pid, sig)
-    except ProcessLookupError:
-        pass
-
-
 def _communicate(proc, timeout=120):
-    # the pipes close only when every process holding them has exited; on a
-    # timeout, each process prints its threads' stacks on SIGABRT.  The child
-    # leads its group and is aborted alone first, so that its dump reaches
-    # the shared stderr pipe whole; then the rest of the group, which may
-    # outlive its leader, is aborted, and what is left is killed
+    # on a timeout the child prints its threads' stacks on SIGABRT (see
+    # _child_env), and is killed if it has not exited 10 s later
     try:
         return proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.send_signal(signal.SIGABRT)
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            pass
-        _signal_group(proc, signal.SIGABRT)
-        try:
             _, err = proc.communicate(timeout=10)
         except subprocess.TimeoutExpired:
-            _signal_group(proc, signal.SIGKILL)
+            proc.kill()
             _, err = proc.communicate()
         pytest.fail(f"the child did not exit within {timeout} s; its stderr:\n{err}")
 
 
-def _run_count_script(exit_call):
-    """Run an n = 4 count on 2 workers in a fresh interpreter of its own
-    session; it prints the pool's worker pids to stderr, then ends with
-    ``exit_call``.  Returns (process, stdout, worker pids)."""
-    script = (
-        "import os, sys\n"
-        "import rds.cli, rds.search\n"
-        "rc = rds.cli.main(['count', '--n', '4', '--gamma-list', '25,29,41', '--workers', '2'])\n"
-        "pids = [p.pid for p in rds.search._pool[1]._processes.values()]\n"
-        "print(*pids, file=sys.stderr, flush=True)\n"
-        f"{exit_call}\n"
-    )
-    proc = _rds_session(python_args=("-c", script))
-    out, err = _communicate(proc)
-    return proc, out, [int(p) for p in err.splitlines()[-1].split()] if proc.returncode == 0 else []
+@pytest.mark.parametrize(
+    "n, csv",
+    [
+        ("3", "gamma,theta_gp,theta_all\n25,672,680\n29,1320,1330\n41,3640,3654\n"),
+        ("4", "gamma,theta_gp,theta_all\n25,16,156\n29,36,321\n41,40,859\n"),
+    ],
+    ids=["n3", "n4"],
+)
+def test_n3_count_on_workers_starts_no_process(capsys, monkeypatch, n, csv):
+    # --workers is accepted and changes nothing: every n runs in this
+    # process, which neither forks nor holds a child afterwards
+    import multiprocessing
 
+    def no_fork():
+        raise AssertionError("a count started a process")
 
-# the 1-worker output of ``rds count --n 4 --gamma-list 25,29,41``
-_N4_COUNT_CSV = "gamma,theta_gp,theta_all\n25,16,156\n29,36,321\n41,40,859\n"
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_count_on_workers_leaves_no_process_behind():
-    # the pipes closed, so every worker that held them has exited
-    proc, out, pids = _run_count_script("sys.exit(rc)")
-    assert proc.returncode == 0
-    assert out == _N4_COUNT_CSV
-    assert len(pids) == 2 and not any(map(_alive, pids))
-
-
-def test_n3_count_on_workers_starts_no_process(capsys, monkeypatch):
-    import concurrent.futures
-
-    import rds.search
-
-    def no_executor(*args, **kwargs):
-        raise AssertionError("an n = 3 count started a process pool")
-
-    rds.search._discard_pool()
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
-    code, out, _ = run_cli(capsys, "count", "--n", "3", "--gamma-list", "25,29,41", "--workers", "2")
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run_cli(capsys, "count", "--n", n, "--gamma-list", "25,29,41", "--workers", "2")
     assert code == 0
-    assert out == "gamma,theta_gp,theta_all\n25,672,680\n29,1320,1330\n41,3640,3654\n"
-    assert rds.search._pool is None
+    assert out == csv
+    assert multiprocessing.active_children() == []
 
 
 def test_ctrl_c_on_workers_exits_130():
-    proc = _rds_session("count", "--n", "4", "--gamma-list", "25,145", "--workers", "2")
+    proc = _rds_session("count", "--n", "4", "--gamma-list", "25,301", "--workers", "2")
     try:
-        # the pool is up and the second bound, several seconds of work, starts
+        # the first bound is done and the second, about 12 s of work, starts
         assert proc.stderr.readline().startswith("count: gamma=25 ")
         os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
     finally:
         _, err = _communicate(proc)
     assert proc.returncode == 130
     assert err == "rds: interrupted\n"
-
-
-# ``rds count --n 4 --gamma-list 25,145 --workers 2`` that raises
-# KeyboardInterrupt as the 5th chunk of the second bound is submitted:
-# before ``submit`` is called, or inside it, once the work item is recorded
-# but before its id is queued; it prints the worker pids first
-_INTERRUPTED_COUNT = """
-import sys
-import rds.cli, rds.search
-
-inside = sys.argv[1] == "inside"
-make_pool = rds.search._worker_pool
-runs = []  # chunks submitted in each run on the pool
-
-
-def interrupt(executor):
-    if len(runs) == 2 and runs[-1] == 5:
-        print(*(p.pid for p in executor._processes.values()), file=sys.stderr, flush=True)
-        raise KeyboardInterrupt
-
-
-def interrupting_pool(workers):
-    executor = make_pool(workers)
-    if not runs:  # one pool serves both bounds
-        submit, put = executor.submit, executor._work_ids.put
-
-        def counting_submit(*args):
-            runs[-1] += 1
-            if not inside:
-                interrupt(executor)
-            return submit(*args)
-
-        def interrupting_put(item):
-            if inside:
-                interrupt(executor)
-            put(item)
-
-        executor.submit, executor._work_ids.put = counting_submit, interrupting_put
-    runs.append(0)
-    return executor
-
-
-rds.search._worker_pool = interrupting_pool
-sys.exit(rds.cli.main(["count", "--n", "4", "--gamma-list", "25,145", "--workers", "2"]))
-"""
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-@pytest.mark.parametrize("where", ["between", "inside"])
-def test_ctrl_c_while_chunks_are_submitted_exits_130(where):
-    # the pool is discarded whichever call is interrupted: its queued chunks
-    # are cancelled, and no work item is left for interpreter exit to wait on
-    proc = _rds_session(where, python_args=("-c", _INTERRUPTED_COUNT))
-    _, err = _communicate(proc, timeout=30)
-    assert proc.returncode == 130
-    first, pids, last = err.splitlines()
-    assert first.startswith("count: gamma=25 ") and last == "rds: interrupted"
-    pids = [int(p) for p in pids.split()]
-    assert len(pids) == 2 and not any(map(_alive, pids))
 
 
 def test_search_checkpoint_resume_via_cli(tmp_path, capsys):
@@ -757,30 +661,3 @@ def test_breakdown_needs_jsonl(capsys, fmt):
     code, out, err = run_cli(capsys, "count", "--n", "3", "--gamma-list", "109", "--breakdown", *fmt)
     assert (code, out) == (2, "")
     assert err == "rds: --breakdown needs --format jsonl\n"
-
-
-def _alive(pid):
-    # a zombie has exited; whether its new parent reaps it is not the test's concern
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_workers_exit_when_the_parent_dies_without_shutdown():
-    import time
-
-    # no atexit hook, no pool shutdown
-    proc, out, pids = _run_count_script("os._exit(rc)")
-    assert proc.returncode == 0
-    assert out == _N4_COUNT_CSV
-    assert len(pids) == 2
-    deadline = time.monotonic() + 20
-    while any(map(_alive, pids)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    left = [pid for pid in pids if _alive(pid)]
-    for pid in left:
-        os.kill(pid, signal.SIGKILL)
-    assert left == []

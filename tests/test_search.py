@@ -29,7 +29,6 @@ from rds.search import (
     SearchConfig,
     count_solutions,
     partition_space,
-    _discard_pool,
     _flags_of_x,
     _KeyCodec,
     _key_codec,
@@ -516,93 +515,6 @@ def test_deterministic_across_worker_counts():
     assert len(streams[0]) == 156
 
 
-@pytest.fixture
-def fresh_pool():
-    """No worker pool before the test, and none left after it."""
-    _discard_pool()
-    yield
-    _discard_pool()
-
-
-@pytest.fixture
-def executors_made(monkeypatch):
-    """Every ``ProcessPoolExecutor`` started while the test runs."""
-    import concurrent.futures
-
-    made = []
-
-    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
-    return made
-
-
-def test_one_process_pool_serves_every_bound(fresh_pool, executors_made):
-    made = executors_made
-    for gamma in (25, 29, 41):
-        count_solutions(SearchConfig(n=4, gamma_bound=gamma, workers=2), build_pool(gamma))
-    assert len(made) == 1
-    # another worker count replaces the pool
-    report = count_solutions(SearchConfig(n=4, gamma_bound=25, workers=3), build_pool(25))
-    assert report.theta_all == 156
-    assert len(made) == 2 and rds_search._pool[1] is made[1]
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_n3_runs_in_this_process_on_any_worker_count(tmp_path, fresh_pool, executors_made, workers):
-    # every n = 3 head is a set, so its keys are built where they are kept:
-    # no executor, no pool, and the 1-worker items in the 1-worker order
-    pool = build_pool(25)
-    one = SearchConfig(n=3, gamma_bound=25)
-    cfg = replace(one, workers=workers)
-    items = list(run_enumeration(one, pool)[0].items())
-    assert list(run_enumeration(cfg, pool)[0].items()) == items
-    assert count_solutions(cfg, pool).theta_all == len(items) == 680
-    assert list(search(cfg, pool)) == list(search(one, pool))
-    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
-    assert not run_enumeration(ckpt, pool, stop_after_ranges=3)[1]
-    assert list(run_enumeration(ckpt, pool)[0].items()) == items
-    assert executors_made == [] and rds_search._pool is None
-
-
-def test_pool_is_kept_after_an_early_stop(fresh_pool):
-    pool = build_pool(25)
-    baseline = count_solutions(SearchConfig(n=4, gamma_bound=25), pool)
-    cfg = SearchConfig(n=4, gamma_bound=25, workers=2)
-    _, completed = run_enumeration(cfg, pool, stop_after_ranges=2)
-    assert not completed
-    executor = rds_search._pool[1]
-    # the stopped run's queued chunks are cancelled, not read by the next run
-    report = count_solutions(cfg, pool)
-    assert rds_search._pool[1] is executor
-    assert (report.theta_all, report.theta_gp, report.exclusions) == (
-        baseline.theta_all, baseline.theta_gp, baseline.exclusions,
-    )
-
-
-def test_a_failed_chunk_discards_the_pool(fresh_pool, monkeypatch):
-    runner = os.getpid()
-    scan_blocks = rds_search._scan_blocks
-
-    def failing_scan(*args):
-        # fails only in a pool worker, so the run fails only if a chunk ran there
-        if os.getpid() != runner:
-            raise ValueError("chunk failed")
-        return scan_blocks(*args)
-
-    # the pool's workers are forked after the patch, so they run it
-    monkeypatch.setattr(rds_search, "_scan_blocks", failing_scan)
-    cfg = SearchConfig(n=4, gamma_bound=25, workers=2)
-    with pytest.raises(ValueError, match="chunk failed"):
-        count_solutions(cfg, build_pool(25))
-    assert rds_search._pool is None
-    monkeypatch.undo()
-    assert count_solutions(cfg, build_pool(25)).theta_all == 156
-
-
 # --- the run's map in serial chunks ------------------------------------------
 
 
@@ -631,7 +543,7 @@ _INDEX_CASES = [(3, lambda: build_pool(25)), *_DEDUP_CASES]
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
-def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, fresh_pool, n, make_pool, mode):
+def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, n, make_pool, mode):
     pool = make_pool()
     cfg = SearchConfig(n=n, gamma_bound=pool.gamma_bound, enumeration_mode=mode)
     items = list(run_enumeration(cfg, pool)[0].items())
@@ -662,9 +574,9 @@ def chunk_calls(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, make_pool", _INDEX_CASES, ids=["n3-g25", "n4-g25", "n5-sub145"])
-def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, fresh_pool, chunk_calls, n, make_pool, mode):
-    # chunks are checkpoint commit units and pool work units: a run in this
-    # process without a checkpoint is one call over [0, M), whose map is the run's
+def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, chunk_calls, n, make_pool, mode):
+    # chunks are checkpoint commit units only: a run without a checkpoint is
+    # one call over [0, M), whose map is the run's
     calls, maps = chunk_calls
     pool = make_pool()
     M = len(pool.ratios)
@@ -679,10 +591,10 @@ def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, fresh_pool, chunk_cal
     assert list(run_enumeration(ckpt, pool)[0].items()) == items
     assert calls == [r for r in partition_space(M, min(64, M)) if r[1] > r[0]] and len(calls) > 1
 
-    # on 2 workers, n >= 4 chunks run on the pool, where no call is recorded
+    # the worker count changes nothing: one call in this process, for every n
     calls.clear()
     assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
-    assert calls == ([(0, M)] if n == 3 else [])
+    assert calls == [(0, M)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -729,8 +641,14 @@ def test_count_tallies_the_flags(n, gamma, include_zero):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("gamma", [25, 41])
-def test_one_worker_solves_each_n4_set_once(monkeypatch, gamma, mode):
+@pytest.mark.parametrize(
+    "gamma, workers, checkpoint",
+    [(25, 1, False), (41, 1, False), (25, 2, False), (41, 2, False), (25, 1, True), (41, 2, True)],
+    ids=["25", "41", "25-w2", "41-w2", "25-ckpt", "41-w2-ckpt"],
+)
+def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, workers, checkpoint, mode):
+    # every run is one worker, and every chunk is handed the keys the run
+    # holds: a set found in an earlier chunk is not solved again
     calls = []
 
     def counting_solve_x(head, *args):
@@ -738,7 +656,9 @@ def test_one_worker_solves_each_n4_set_once(monkeypatch, gamma, mode):
         return solve_x(head, *args)
 
     monkeypatch.setattr(rds_search, "solve_x", counting_solve_x)
-    found, _ = run_enumeration(SearchConfig(n=4, gamma_bound=gamma, enumeration_mode=mode), build_pool(gamma))
+    ckpt = str(tmp_path / "run.ckpt") if checkpoint else None
+    cfg = SearchConfig(n=4, gamma_bound=gamma, enumeration_mode=mode, workers=workers, checkpoint_path=ckpt)
+    found, _ = run_enumeration(cfg, build_pool(gamma))
     assert len(calls) == len(found) > 0
 
 
@@ -869,7 +789,7 @@ def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
         (4, 25, 5, 2, "a81a9738ca4c6042b2aa4d7ec00dea659ee1bf0667601fce8d27f406c6f895e8"),
     ],
 )
-def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, fresh_pool, n, gamma, stop_after, workers, sha256):
+def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, n, gamma, stop_after, workers, sha256):
     # neither packing the keys nor the one-file log changes a key line's bytes
     ckpt = tmp_path / "search.ckpt"
     cfg = SearchConfig(n=n, gamma_bound=gamma, workers=workers, checkpoint_path=str(ckpt))
@@ -880,7 +800,7 @@ def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, fresh_pool, n, ga
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n, gamma, stop_after", [(3, 13, 2), (4, 13, 2)], ids=["n3-g13", "n4-g13"])
-def test_every_cut_of_a_log_resumes(tmp_path, fresh_pool, n, gamma, stop_after, workers):
+def test_every_cut_of_a_log_resumes(tmp_path, n, gamma, stop_after, workers):
     # a kill can leave any prefix of the log.  A cut inside the header is
     # corrupt; any longer cut loads as the last commit it holds and is cut
     # back to it, so it resumes as that commit's prefix does, and each of
@@ -924,7 +844,7 @@ def test_every_cut_of_a_log_resumes(tmp_path, fresh_pool, n, gamma, stop_after, 
         assert not ckpt.exists()
 
 
-def test_resume_on_workers_writes_the_uninterrupted_bytes(tmp_path, fresh_pool):
+def test_resume_on_workers_writes_the_uninterrupted_bytes(tmp_path):
     from rds.cli import main
 
     argv = ["search", "--n", "4", "--gamma-max", "25", "--workers", "2"]

@@ -19,11 +19,7 @@ from rds.solver import (
     check_distinct,
     check_existence,
     check_general_position,
-    coefficient_matrix,
     complete_psi,
-    exact_det,
-    exact_rank,
-    head_inverse,
     indices_set,
     psi_from_x,
     solution_from_x,
@@ -31,6 +27,8 @@ from rds.solver import (
     verify_rds,
     verify_scaled,
 )
+
+from matrix_reference import coefficient_matrix, exact_det, exact_rank, head_inverse
 
 F = Fraction
 
