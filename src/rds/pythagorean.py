@@ -15,29 +15,32 @@ primitive triplet exactly once up to leg order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EmptyInterval, NotARatio
 from .rat import Rat, ZERO, is_perfect_square, isqrt
 
-@dataclass(frozen=True)
-class Triplet:
-    """An integer Pythagorean triplet with gamma > 0."""
 
+class _TripletFields(NamedTuple):
     alpha: int
     beta: int
     gamma: int
 
-    def __post_init__(self) -> None:
-        if self.alpha == 0 or self.beta == 0 or self.gamma <= 0:
-            raise ValueError(f"degenerate triplet {(self.alpha, self.beta, self.gamma)}")
-        if self.alpha**2 + self.beta**2 != self.gamma**2:
-            raise ValueError(f"not Pythagorean: {(self.alpha, self.beta, self.gamma)}")
+
+class Triplet(_TripletFields):
+    """An integer Pythagorean triplet with gamma > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int, gamma: int) -> Triplet:
+        if alpha == 0 or beta == 0 or gamma <= 0:
+            raise ValueError(f"degenerate triplet {(alpha, beta, gamma)}")
+        if alpha**2 + beta**2 != gamma**2:
+            raise ValueError(f"not Pythagorean: {(alpha, beta, gamma)}")
+        return super().__new__(cls, alpha, beta, gamma)
 
 
-@dataclass(frozen=True)
-class RatioPool:
+class RatioPool(NamedTuple):
     """All ratios of primitive triplets with hypotenuse <= gamma_bound.
 
     ``ratios`` is sorted ascending and deduplicated; with the zero ratio

@@ -21,7 +21,7 @@ from .errors import RdsError
 from .pythagorean import Triplet, classify_ratio, min_hypotenuse
 from .rat import Rat, format_over, parse_rat
 from .search import CountReport
-from .solver import Solution, distance_nums, solution_from_x
+from .solver import Solution, solution_from_x
 
 SCHEMA_VERSION = 1
 PRODUCED_BY = f"rds {__version__}"
@@ -56,19 +56,45 @@ def ratio_record(q: Rat) -> dict:
     return {"psi": str(q), "gamma": gamma, "class": classify_ratio(q)}
 
 
-def _solution_texts(s: Solution) -> tuple[list[str], list[str], list[str]]:
+class _PsiTexts(dict):
+    """The texts of pair sums, keyed by (numerator, den) and made on a miss.
+
+    For n = 3 every pair sum is a pool ratio, so one ``write_records`` call
+    meets few distinct ones: 1,710 for the 14,190 sets of Gamma = 65.  An
+    n >= 4 tail entry need not be a pool ratio, so the table is emptied
+    when it reaches ``_PSI_TEXTS_MAX`` entries, and its memory never grows
+    with the number of sets.  The x and distance texts are not kept: they
+    rarely repeat.
+    """
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        if len(self) >= _PSI_TEXTS_MAX:
+            self.clear()
+        text = self[key] = format_over(*key)
+        return text
+
+
+_PSI_TEXTS_MAX = 1 << 14
+
+
+def _solution_texts(s: Solution, psi_texts: dict | None = None) -> tuple[list[str], list[str], list[str]]:
     """The x, psi and distance strings of a solution, from its integers:
     abscissae and pair sums over den, distances over den^2."""
     nums, den = s.nums, s.den
+    den2 = den * den
+    pairs = list(combinations(nums, 2))
+    if psi_texts is None:
+        psi_texts = _PsiTexts()
     return (
         [format_over(v, den) for v in nums],
-        [format_over(a + b, den) for a, b in combinations(nums, 2)],
-        [format_over(d, den * den) for d in distance_nums(nums, s.roots)],
+        [psi_texts[a + b, den] for a, b in pairs],
+        # ``distance_nums``: a Solution has a root for every pair
+        [format_over(abs(b - a) * c, den2) for (a, b), c in zip(pairs, s.roots)],
     )
 
 
-def solution_record(s: Solution) -> dict:
-    x, psi, distances = _solution_texts(s)
+def solution_record(s: Solution, psi_texts: dict | None = None) -> dict:
+    x, psi, distances = _solution_texts(s, psi_texts)
     return {
         "n": s.n,
         "x": x,
@@ -78,18 +104,22 @@ def solution_record(s: Solution) -> dict:
     }
 
 
-def _json_strings(texts: list[str]) -> str:
-    # rational texts hold only digits, "-" and "/": nothing to escape
-    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
+_SEP = '", "'  # between the quoted items of a JSON list of strings
 
 
-def solution_line(s: Solution) -> str:
-    """``json.dumps(solution_record(s))``, rendered without the dict."""
-    x, psi, distances = _solution_texts(s)
+def solution_line(s: Solution, psi_texts: dict | None = None) -> str:
+    """``json.dumps(solution_record(s))``, rendered without the dict.
+
+    Rational texts hold only digits, "-" and "/", so nothing is escaped.
+    A set of fewer than two points has empty lists and takes the dict.
+    """
+    x, psi, distances = _solution_texts(s, psi_texts)
+    if not psi:
+        return json.dumps(solution_record(s, psi_texts))
     gp = "true" if s.general_position else "false"
     return (
-        f'{{"n": {s.n}, "x": {_json_strings(x)}, "psi": {_json_strings(psi)}, '
-        f'"distances": {_json_strings(distances)}, "general_position": {gp}}}'
+        f'{{"n": {len(x)}, "x": ["{_SEP.join(x)}"], "psi": ["{_SEP.join(psi)}"], '
+        f'"distances": ["{_SEP.join(distances)}"], "general_position": {gp}}}'
     )
 
 
@@ -142,18 +172,27 @@ def write_records(
     kind: str = "solution",
     config: dict | None = None,
 ) -> int:
-    """Write records line by line, flushing each; returns records written.
+    """Write the header and the records line by line; returns records written.
 
     A record is a dict, or a ``Solution``, which is rendered from its
-    integers (see ``solution_line``).
+    integers (see ``solution_line``).  The header line and each dict row
+    are flushed as written, so rows that are computed as the stream
+    advances (``rds count``'s, one per bound) reach a pipe as each is
+    done.  ``Solution`` lines are not flushed one by one: ``search`` has
+    finished its run before the first one is read, so they go out in
+    the stream's own blocks, with one flush at the end.
     """
     count = 0
+    psi_texts = _PsiTexts()
     if fmt == "jsonl":
         out.write(json.dumps(envelope(kind, config)) + "\n")
         out.flush()
         for record in records:
-            out.write((solution_line(record) if isinstance(record, Solution) else json.dumps(record)) + "\n")
-            out.flush()
+            if isinstance(record, Solution):
+                out.write(solution_line(record, psi_texts) + "\n")
+            else:
+                out.write(json.dumps(record) + "\n")
+                out.flush()
             count += 1
     elif fmt == "csv":
         header = CSV_HEADERS[kind]
@@ -161,13 +200,16 @@ def write_records(
         writer.writerow(header)
         out.flush()
         for record in records:
-            if isinstance(record, Solution):
-                record = solution_record(record)
+            solution = isinstance(record, Solution)
+            if solution:
+                record = solution_record(record, psi_texts)
             writer.writerow([_csv_cell(record.get(col)) for col in header])
-            out.flush()
+            if not solution:
+                out.flush()
             count += 1
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    out.flush()
     return count
 
 

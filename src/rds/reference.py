@@ -19,8 +19,8 @@ corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .pythagorean import build_pool
 from .rat import Rat, parse_rat
@@ -80,8 +80,7 @@ GP_EXTRA_EXCLUSIONS_FROM = 109
 GP_EXTRA_EXCLUSIONS = 4
 
 
-@dataclass
-class RowAnalysis:
+class RowAnalysis(NamedTuple):
     """Everything the regression derives about one bundled example row."""
 
     label: str
@@ -99,7 +98,7 @@ class RowAnalysis:
     printed_x_failing: list[tuple[int, int]]
     derived_x_ok: bool
     head_existence_ok: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
 def _square_note(i: int, j: int, s: Rat) -> str:
@@ -189,8 +188,7 @@ def analyze_all_rows() -> list[RowAnalysis]:
     return [analyze_example_row(*row) for row in EXAMPLE_ROWS]
 
 
-@dataclass
-class CountCheck:
+class CountCheck(NamedTuple):
     gamma: int
     closed_form: int
     search_all: int

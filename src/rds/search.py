@@ -41,11 +41,10 @@ import math
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import countOf
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CheckpointCorrupt, ConfigMismatch, DomainError, ZeroDenominator
 from .pythagorean import RatioPool, is_ratio_pair, primitive_triplets
@@ -82,8 +81,7 @@ FLAG_ZERO_SUM = 2  # n = 3 only: all abscissae sum to zero
 _CHECKPOINT_SCHEMA = 4
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
     n: int
     gamma_bound: int
     include_zero: bool = True
@@ -92,7 +90,14 @@ class SearchConfig:
     workers: int = 1  # validated and kept for callers; every run is one process
     checkpoint_path: str | None = None
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(_SearchConfigFields):
+    """The parameters of one search or count, validated at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SearchConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 3:
             raise DomainError(f"search needs n >= 3, got n={self.n}")
         if self.gamma_bound < 1:
@@ -103,6 +108,7 @@ class SearchConfig:
             raise DomainError(f"unknown gp filter {self.gp_filter!r}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
+        return self
 
     def echo(self, pool: RatioPool) -> dict:
         """The semantic parameters recorded in headers and checkpoints."""
@@ -118,8 +124,7 @@ class SearchConfig:
         }
 
 
-@dataclass
-class CountReport:
+class CountReport(NamedTuple):
     n: int
     gamma_bound: int
     mode: str
@@ -127,12 +132,11 @@ class CountReport:
     theta_gp: int
     pool_size: int
     elapsed: float
-    exclusions: dict[str, int] = field(default_factory=dict)
-    extra_zero_sum_sets: list[tuple[Rat, ...]] = field(default_factory=list)
+    exclusions: dict[str, int]
+    extra_zero_sum_sets: list[tuple[Rat, ...]]
 
 
-@dataclass
-class Partial:
+class Partial(NamedTuple):
     """Results of one contiguous rank range."""
 
     rank_hi: int

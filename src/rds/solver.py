@@ -24,7 +24,6 @@ a psi vector is positional, so psi_n is the entry for pair (2,3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -218,8 +217,7 @@ def distance_nums(nums: Sequence[int], roots: Sequence[int | None]) -> list[int 
     ]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A verified rational distance set, held in integers.
 
     The abscissae are nums[i] / den with gcd(den, *nums) = 1, so an equal
@@ -259,7 +257,7 @@ def solution_from_x(x: Sequence[Rat] | Sequence[int], den: int | None = None) ->
     den > 0.  They are reduced by gcd(den, *nums) and run through
     ``pair_roots``; a pair without a root raises ValueError.
     """
-    nums, den = _over_lcm(x) if den is None else (list(x), den)
+    nums, den = _over_lcm(x) if den is None else (x, den)
     g = math.gcd(den, *nums)
     if g > 1:
         nums, den = [v // g for v in nums], den // g
@@ -267,9 +265,4 @@ def solution_from_x(x: Sequence[Rat] | Sequence[int], den: int | None = None) ->
     if None in roots:
         failing = verify_scaled(nums, den).failing_pairs
         raise ValueError(f"not an RDS: irrational distances at pairs {failing}")
-    return Solution(
-        nums=tuple(nums),
-        den=den,
-        roots=tuple(roots),
-        general_position=general_position_scaled(nums),
-    )
+    return Solution(tuple(nums), den, tuple(roots), general_position_scaled(nums))

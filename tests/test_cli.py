@@ -497,6 +497,30 @@ def test_ctrl_c_on_workers_exits_130():
     assert err == "rds: interrupted\n"
 
 
+def test_search_into_a_pipe_closed_after_one_line_exits_0():
+    # solution lines are not flushed one by one, so the closed pipe shows
+    # at a block write or at the last flush; either way the run ends quietly
+    proc = _rds_session("search", "--n", "3", "--gamma-max", "65")
+    try:
+        assert proc.stdout.readline().startswith('{"schema_version": 1, ')
+    finally:
+        proc.stdout.close()
+        _, err = _communicate(proc)
+    assert (proc.returncode, err) == (0, "")
+
+
+def test_count_rows_reach_a_pipe_as_each_bound_finishes():
+    proc = _rds_session("count", "--n", "4", "--gamma-list", "25,301")
+    try:
+        assert proc.stdout.readline() == "gamma,theta_gp,theta_all\n"
+        assert proc.stdout.readline() == "25,16,156\n"
+        # the second bound, about 12 s of work, is still running
+        assert proc.poll() is None
+    finally:
+        proc.kill()
+        _communicate(proc)
+
+
 def test_search_checkpoint_resume_via_cli(tmp_path, capsys):
     base = tmp_path / "base.jsonl"
     assert main(["search", "--n", "4", "--gamma-max", "25", "--out", str(base)]) == 0
@@ -616,6 +640,14 @@ def test_cli_import_leaves_the_bundled_tables_unloaded():
     script = "import sys, rds.cli; print('rds.reference' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_no_rds_import_loads_dataclasses_or_inspect():
+    # every rds child imports rds.cli, and `rds tables` rds.reference; -S
+    # leaves out whatever the site's .pth files import
+    script = "import sys, rds.cli, rds.reference; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_growth_csv(capsys):

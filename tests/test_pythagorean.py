@@ -19,6 +19,7 @@ from rds.pythagorean import (
     nu_triplet,
     primitive_triplets,
     ratios_of,
+    Triplet,
 )
 
 
@@ -254,3 +255,18 @@ def test_primitive_triplet_count_asymptotic():
     count = len(primitive_triplets(10**5))
     reference = 10**5 / (2 * pi)
     assert abs(count - reference) <= 0.01 * reference
+
+
+@pytest.mark.parametrize("sides", [(0, 4, 4), (3, 0, 3), (3, 4, 0), (3, 4, -5), (3, 4, 6)])
+def test_triplet_rejects_degenerate_and_non_pythagorean_sides(sides):
+    with pytest.raises(ValueError):
+        Triplet(*sides)
+    with pytest.raises(ValueError):
+        Triplet(**dict(zip(("alpha", "beta", "gamma"), sides)))
+
+
+def test_triplet_is_a_value():
+    t = Triplet(alpha=3, beta=4, gamma=5)
+    assert t == primitive_triplets(5)[0] == Triplet(3, 4, 5)
+    assert (t.alpha, t.beta, t.gamma) == (3, 4, 5)
+    assert hash(t) == hash(Triplet(3, 4, 5))

@@ -109,3 +109,48 @@ def test_write_records_path_and_read_back(tmp_path):
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         write_records([], io.StringIO(), fmt="xml", kind="count")
+
+
+class _FlushCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_solution_lines_are_flushed_once_at_the_end(fmt, n):
+    # search() has finished its run before the first solution is read, so
+    # a flush per line would hand a reader nothing sooner
+    sols = list(search(SearchConfig(n=n, gamma_bound=25), build_pool(25)))
+    out = _FlushCounter()
+    assert write_records(iter(sols), out, fmt=fmt) == len(sols) > 100
+    assert out.flushes == 2  # the header line, and the end
+    assert len(out.getvalue().splitlines()) == len(sols) + 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_dict_rows_are_flushed_as_each_is_written(fmt):
+    out = _FlushCounter()
+    seen = []
+
+    def rows():
+        # the flushes made before each row is computed
+        for gamma in (25, 29, 41):
+            seen.append(out.flushes)
+            yield {"gamma": gamma, "theta_gp": 0, "theta_all": 0}
+
+    assert write_records(rows(), out, fmt=fmt, kind="count") == 3
+    assert seen == [1, 2, 3]  # the header, then each row before the next
+
+
+def test_one_point_solution_line_keeps_the_json_bytes():
+    from rds.records import solution_line
+
+    sol = solution_from_x([parse_rat("3/4")])
+    assert solution_line(sol) == json.dumps(solution_record(sol))
+    assert json.loads(solution_line(sol))["psi"] == []

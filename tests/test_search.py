@@ -6,7 +6,6 @@ import operator
 import os
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -534,7 +533,7 @@ def _n5_pool():
     sums = {a + b for a, b in combinations(x, 2)} | {-(a + b) for a, b in combinations(x, 2)}
     full = build_pool(145)
     ratios = tuple(sorted(sums & set(full.ratios) | {Fraction(0), Fraction(3, 4), Fraction(4, 3)}))
-    return replace(full, ratios=ratios)
+    return full._replace(ratios=ratios)
 
 
 _DEDUP_CASES = [(4, lambda: build_pool(25)), (5, _n5_pool)]
@@ -549,8 +548,8 @@ def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, n, make_pool, 
     items = list(run_enumeration(cfg, pool)[0].items())
     if n == 5 and mode == MODE_ORDERED:
         assert len(items) == 2  # the case holds sets
-    assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
-    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
+    assert list(run_enumeration(cfg._replace(workers=2), pool)[0].items()) == items
+    ckpt = cfg._replace(checkpoint_path=str(tmp_path / "run.ckpt"))
     # a rank is an outer index, one chunk each: stop early, and before the last
     for stop_after in (3, len(pool.ratios) - 1):
         assert not run_enumeration(ckpt, pool, stop_after_ranges=stop_after)[1]
@@ -587,13 +586,13 @@ def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, chunk_calls, n, make_
 
     # with a checkpoint, one chunk an outer index, as many as 64
     calls.clear()
-    ckpt = replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt"))
+    ckpt = cfg._replace(checkpoint_path=str(tmp_path / "run.ckpt"))
     assert list(run_enumeration(ckpt, pool)[0].items()) == items
     assert calls == [r for r in partition_space(M, min(64, M)) if r[1] > r[0]] and len(calls) > 1
 
     # the worker count changes nothing: one call in this process, for every n
     calls.clear()
-    assert list(run_enumeration(replace(cfg, workers=2), pool)[0].items()) == items
+    assert list(run_enumeration(cfg._replace(workers=2), pool)[0].items()) == items
     assert calls == [(0, M)]
 
 
@@ -616,7 +615,7 @@ def test_the_key_codec_is_built_only_for_a_checkpoint(tmp_path, monkeypatch, n):
     cfg = SearchConfig(n=n, gamma_bound=25)
     found, _ = run_enumeration(cfg, pool)
     assert built == []
-    assert run_enumeration(replace(cfg, checkpoint_path=str(tmp_path / "run.ckpt")), pool)[0] == found
+    assert run_enumeration(cfg._replace(checkpoint_path=str(tmp_path / "run.ckpt")), pool)[0] == found
     assert built == ["_key_denominator", "_key_codec"]
 
 
@@ -810,7 +809,7 @@ def test_every_cut_of_a_log_resumes(tmp_path, n, gamma, stop_after, workers):
     items = list(run_enumeration(whole_cfg, pool)[0].items())
     emitted = list(search(whole_cfg, pool))
     ckpt = tmp_path / "cut.ckpt"
-    cfg = replace(whole_cfg, checkpoint_path=str(ckpt))
+    cfg = whole_cfg._replace(checkpoint_path=str(ckpt))
     assert not run_enumeration(cfg, pool, stop_after_ranges=stop_after)[1]
     log = ckpt.read_bytes()
     # the end of the header and of each commit line, and the (next_rank,
