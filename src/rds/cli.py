@@ -10,7 +10,6 @@ trivially honored; no command emits color).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -63,14 +62,7 @@ _MODE_HELP = (
     "heads tried: ordered, all (for n >= 4 one per psi_1 <-> psi_2 swap, which gives the same sets); "
     "multiset, pool indices never decrease; subset, they strictly increase"
 )
-_WORKERS_HELP = "accepted for compatibility and has no effect: every run is one process (default: RDS_WORKERS or 1)"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("RDS_WORKERS", "1")))
-    except ValueError:
-        return 1
+_WORKERS_HELP = "accepted for compatibility and has no effect: every run is one process (default: 1)"
 
 
 def _parse_rat_list(text: str) -> list[Fraction]:
@@ -338,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rds",
         description="Construct, verify, enumerate and count rational distance sets on y = x^2.",
         epilog=(
-            "Environment: RDS_WORKERS sets the default for --workers of search and count; "
-            "both are accepted and have no effect, since every run is one process. NO_COLOR is honored."
+            "--workers of search and count is accepted and has no effect, since every run is "
+            "one process. NO_COLOR is honored."
         ),
     )
     parser.add_argument("--version", action="version", version=f"rds {__version__}")
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="annotate: emit every set with its general_position flag; "
         "require: emit only sets in general position",
     )
-    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--checkpoint", help="checkpoint path for kill/resume")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p)
@@ -399,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma-list", required=True, help="comma-separated bounds, e.g. 25,29,41")
     p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
-    p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (needs --format jsonl)")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p, default_format="csv")

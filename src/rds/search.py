@@ -16,20 +16,20 @@ kernel's outermost loop, so every n and mode has M ranks:
 
 Solutions are deduplicated by a canonical key, so partition boundaries
 never affect the result.  A key is one ``int``: the ascending abscissae
-x_i * L for one pool-wide denominator L (``_key_denominator``), packed
-into fixed-width fields (``_KeyCodec``), so keys sort as their abscissae
+x_i * L for one pool-wide denominator L, packed into fixed-width fields;
+``_KeyCodec.of_pool`` holds the format, and keys sort as their abscissae
 do.  The kernels work in integers, on the pool's numerators over L / 2,
 where the closed form (``solver.solve_x_scaled``) gives x * L with no
 division.
 
-Every run is one process.  A chunk is a contiguous rank range, and chunks
-exist only as checkpoint commit units: a run without a checkpoint path is
-one chunk over the remaining ranks, and that chunk's map is the run's map.
-With a checkpoint path the runner runs the chunks in rank order, each
-seeing the keys the run already holds; it folds each chunk's new keys into
-the found map and appends them to the checkpoint log with a commit line
-before the next chunk runs (``_load_checkpoint``), so a run stopped early,
-by request or by an interrupt, resumes from the last commit.  ``search``
+Every kernel has one contract: it adds to the run's map every set of its
+ranks that the map lacks, in find order.  Every run is one process and
+one loop over contiguous rank ranges (chunks), each handed the run's map:
+a run without a checkpoint path is one chunk over the remaining ranks.
+With a checkpoint path a chunk is a commit unit: after each chunk the
+runner appends its new keys, the last ones in the map, to the checkpoint
+log with a commit line (``_load_checkpoint``), so a run stopped early, by
+request or by an interrupt, resumes from the last commit.  ``search``
 runs all of this before it returns, so a failed run raises before its
 caller writes a byte.
 """
@@ -42,7 +42,7 @@ import os
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import countOf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -137,9 +137,8 @@ class CountReport(NamedTuple):
 
 
 class Partial(NamedTuple):
-    """Results of one contiguous rank range."""
+    """The map one contiguous rank range added its sets to."""
 
-    rank_hi: int
     found: dict[int, int]  # packed canonical key -> flag bits
 
 
@@ -158,27 +157,6 @@ def partition_space(total_rank_count: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _key_denominator(ratios: tuple[Fraction, ...]) -> int:
-    """L = 2 * lcm(denominators of ratios).
-
-    Every abscissa ``solve_x`` makes from a head of these ratios is half a
-    signed sum of head entries, so x * L is an integer; a canonical key
-    packs the ascending tuple of those integers.  L stays small: a pool
-    denominator is a leg (m - n)(m + n) or 2mn with m^2 + n^2 <= Gamma, so
-    L divides 2 * lcm(1..2 sqrt(Gamma)) (17 bits at Gamma = 65, 65 at 1001).
-    """
-    return 2 * math.lcm(*(r.denominator for r in ratios))
-
-
-def _key_width(h: Sequence[int]) -> int:
-    """The field width w of the keys of a pool with numerators ``h`` over L / 2.
-
-    Each closed-form entry is +-h_1 +- h_2 + h_n or -h_1 - h_2 + h_n + 2 h_k,
-    so every x * L solved from the pool has |x * L| <= 5 * max|h| < 2^(w-1).
-    """
-    return (5 * max(map(abs, h), default=0)).bit_length() + 1
-
-
 class _KeyCodec:
     """Canonical keys of n integers packed into one int of n w-bit fields.
 
@@ -187,17 +165,33 @@ class _KeyCodec:
     fixed width compare from the highest down, so packed ints sort as the
     tuples do.  ``pack`` is linear in its integers: a key is
     sum(v_i << shifts[i]) + offset, with every field's bias in offset.
+
+    ``of_pool`` builds the codec of a pool's n-point keys.  It holds the
+    pool's numerators ``h`` over ``half`` = L / 2, and ``den`` = L =
+    2 * lcm(pool denominators).  Every abscissa ``solve_x`` makes from a
+    head of the pool is half a signed sum of head entries, so x * L is an
+    integer.  L stays small: a pool denominator is a leg (m - n)(m + n) or
+    2mn with m^2 + n^2 <= Gamma, so L divides 2 * lcm(1..2 sqrt(Gamma))
+    (17 bits at Gamma = 65, 65 at 1001).  Each closed-form entry is
+    +-h_1 +- h_2 + h_n or -h_1 - h_2 + h_n + 2 h_k, so every x * L solved
+    from the pool has |x * L| <= 5 * max|h| < 2^(w-1), which sets w.
     """
 
-    __slots__ = ("n", "width", "bias", "mask", "shifts", "offset")
+    __slots__ = ("n", "width", "bias", "mask", "shifts", "offset", "h", "half", "den")
 
-    def __init__(self, n: int, width: int) -> None:
+    def __init__(self, n: int, width: int, h: Sequence[int] = (), half: int = 1) -> None:
         self.n = n
         self.width = width
         self.bias = 1 << (width - 1)
         self.mask = (1 << width) - 1
         self.shifts = tuple(width * (n - 1 - i) for i in range(n))
         self.offset = sum(self.bias << s for s in self.shifts)
+        self.h, self.half, self.den = h, half, 2 * half
+
+    @classmethod
+    def of_pool(cls, n: int, ratios: tuple[Fraction, ...]) -> _KeyCodec:
+        h, half = _over_lcm(ratios)
+        return cls(n, (5 * max(map(abs, h), default=0)).bit_length() + 1, h, half)
 
     def pack(self, x: Iterable[int]) -> int:
         key, width = 0, self.width
@@ -214,11 +208,6 @@ class _KeyCodec:
         return -self.bias < v < self.bias
 
 
-def _key_codec(n: int, ratios: tuple[Fraction, ...]) -> _KeyCodec:
-    """The codec of the n-point keys of a pool of ``ratios``."""
-    return _KeyCodec(n, _key_width(_over_lcm(ratios)[0]))
-
-
 def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     """Flag bits of abscissae, or of a decoded key: both tests are sign
     tests of sums."""
@@ -228,11 +217,11 @@ def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     return flags
 
 
-def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
+def _scan_triples(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> None:
     """The n = 3 scan over strictly increasing heads i < j < k with i in
     [lo, hi), for every mode.
 
-    ``h`` holds the pool's numerators over L / 2.  Distinct head entries
+    ``codec.h`` holds the pool's numerators over L / 2.  Distinct head entries
     force distinct x (pairwise x differences are pairwise psi differences),
     so no distinctness check is needed; and with p < q < r the solved x
     come out already sorted ascending, as the key packs them.  x is linear
@@ -243,11 +232,12 @@ def _scan_triples(h: list[int], lo: int, hi: int, found: dict) -> None:
     h * K_r, stored with FLAG_GP.  The x sum to (p + q + r) / 2, and pool
     values are distinct, so a row holds at most one zero-sum head,
     r = -(p + q); only its x go through ``_flags_of_x``, and its key is
-    re-stored in place, so the insertion order stays head order.
+    re-stored in place, so the insertion order stays head order.  A key
+    the map holds already keeps its place and its flags, which are equal.
     """
+    h = codec.h
     M = len(h)
     index = {v: t for t, v in enumerate(h)}
-    codec = _KeyCodec(3, _key_width(h))
     # K_p, K_q, K_r: the keys of the unit heads, less the offset
     kp, kq, kr = (codec.pack(solve_x_scaled(e)) - codec.offset for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     hp = [v * kp + codec.offset for v in h]
@@ -273,9 +263,7 @@ def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
     return {p for p, v in enumerate(h) if is_ratio_pair(s - v, half)}
 
 
-def _scan_blocks(
-    h: list[int], half: int, n: int, mode: str, lo: int, hi: int, found: dict, known
-) -> None:
+def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> None:
     """The n >= 4 scan over the heads with i_n in [lo, hi), for every mode.
 
     The case-1 and case-2 tails of ``solver.complete_psi`` are
@@ -298,18 +286,17 @@ def _scan_blocks(
 
     A leaf runs i2 over the sorted candidates below the mode cut and i1
     over the candidates before i2, and tests case 3 (n >= 5) per head.
-    Every test and the closed form run on ``h``, the pool's numerators
-    over ``half`` = L / 2, so a survivor's key comes out over L with no
-    division, and is packed by the pool's ``_KeyCodec``.  A key in neither
-    ``found`` nor ``known`` (the keys the run already holds) takes its
-    flags from ``solve_x`` on that integer head, whose x are the true x
-    times L / 2 > 0; both flag tests are sign tests of sums.
+    Every test and the closed form run on ``codec.h``, the pool's
+    numerators over ``codec.half`` = L / 2, so a survivor's key comes out
+    over L with no division, and is packed by ``codec``.  A key ``found``
+    lacks takes its flags from ``solve_x`` on that integer head, whose x
+    are the true x times L / 2 > 0; both flag tests are sign tests of sums.
     """
+    h, half, n, pack = codec.h, codec.half, codec.n, codec.pack
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
     sub_pairs = indices_set(n - 3) if n >= 5 else []
     classes: dict[int, set[int]] = {}  # R(S) by the sum S
-    pack = _KeyCodec(n, _key_width(h)).pack
 
     def leaf(outer: list[int], members: list[int]) -> None:
         outer_nums = [h[k] for k in outer]
@@ -325,10 +312,10 @@ def _scan_blocks(
                     ):
                         continue
                 x = solve_x_scaled(nums)
-                # most keys are known, so test distinctness only on new ones:
+                # most keys are held already, so test distinctness only on new ones:
                 # an x with a repeat packs to a key no set has
                 key = pack(sorted(x))
-                if key not in found and key not in known and check_distinct(x):
+                if key not in found and check_distinct(x):
                     found[key] = _flags_of_x(solve_x(nums))
 
     def walk(outer: list[int], candidates: set[int]) -> None:
@@ -355,39 +342,35 @@ def _scan_blocks(
 
 
 def process_range(
-    n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int, known=()
+    n: int, ratios: tuple[Fraction, ...], mode: str, lo: int, hi: int, found: dict[int, int] | None = None
 ) -> Partial:
-    """Evaluate every candidate with rank in [lo, hi).
+    """Evaluate every candidate with rank in [lo, hi), adding to ``found``.
 
-    ``known`` holds keys found before this range; for n >= 4 they are left
-    out of the result and not solved again.  (An n = 3 set has one rank,
-    so a range never meets a key found in another.)  The result therefore
-    holds only keys new to ``known``, each with its flag bits.
+    Every set of these ranks that ``found`` lacks is added, with its flag
+    bits, in find order; a set it holds is not solved again and keeps its
+    flags.  ``found`` defaults to a fresh map.  Returns ``Partial(found)``.
     """
-    found: dict[int, int] = {}
+    if found is None:
+        found = {}
     if hi > lo:
-        # numerators over lcm(pool denominators) = L / 2
-        h, half = _over_lcm(ratios)
-        if n == 3:
-            _scan_triples(h, lo, hi, found)
-        else:
-            _scan_blocks(h, half, n, mode, lo, hi, found, known)
-    return Partial(rank_hi=hi, found=found)
+        kernel = _scan_triples if n == 3 else _scan_blocks
+        kernel(_KeyCodec.of_pool(n, ratios), mode, lo, hi, found)
+    return Partial(found)
 
 
 # --- checkpointing ---------------------------------------------------------
 
 
-def _read_key_line(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
+def _read_key_line(line: bytes, codec: _KeyCodec) -> tuple[int, ...]:
     """One key line's key, decoded: a JSON object whose "x" lists n strings
     of pairwise-distinct rationals, each an integer over the key
-    denominator den that fits a field of ``codec``; any other line is
-    corrupt.  A value too wide for its field would spill into its
+    denominator ``codec.den`` that fits a field of ``codec``; any other
+    line is corrupt.  A value too wide for its field would spill into its
     neighbour and could pack to another set's key."""
     try:
         strings = json.loads(line)["x"]
         if isinstance(strings, list) and all(isinstance(s, str) for s in strings):
-            xs = [parse_rat(s) for s in strings]
+            xs, den = [parse_rat(s) for s in strings], codec.den
             if len(xs) == codec.n and check_distinct(xs) and all(den % v.denominator == 0 for v in xs):
                 x = tuple(sorted(v.numerator * (den // v.denominator) for v in xs))
                 if all(map(codec.fits, x)):
@@ -398,11 +381,10 @@ def _read_key_line(line: bytes, codec: _KeyCodec, den: int) -> tuple[int, ...]:
     raise CheckpointCorrupt(f"bad key line {line!r}")
 
 
-def _load_checkpoint(
-    path: str, expected_echo: dict, den: int, codec: _KeyCodec
-) -> tuple[int, dict[int, int]]:
+def _load_checkpoint(path: str, expected_echo: dict, codec: _KeyCodec) -> tuple[int, dict[int, int]]:
     """Return (next_rank, found) from a checkpoint log, and cut the log
-    after its last complete commit line; keys over den, packed by ``codec``.
+    after its last complete commit line; keys over ``codec.den``, packed
+    by ``codec``.
 
     Only lines that end in a newline count, so a torn tail is dropped with
     the key lines after the last commit.  Each commit must raise next_rank,
@@ -431,7 +413,7 @@ def _load_checkpoint(
     for line in lines[:-1]:  # the last piece ends in no newline
         end += len(line) + 1
         if line.startswith(b'{"x"'):
-            x = _read_key_line(line, codec, den)
+            x = _read_key_line(line, codec)
             pending[codec.pack(x)] = _flags_of_x(x)
             continue
         try:
@@ -459,20 +441,20 @@ def run_enumeration(
     pool: RatioPool,
     stop_after_ranges: int | None = None,
 ) -> tuple[dict[int, int], bool]:
-    """Enumerate the whole rank space in this process: in chunks where a
-    checkpoint commits them, and in one chunk otherwise.
+    """Enumerate the whole rank space in this process, in one chunk, or in
+    chunks that a checkpoint commits.
 
     Returns (found, completed); found maps each canonical key to its flag
-    bits.  A key is an int that ``_key_codec(config.n, pool.ratios)``
-    decodes into the ascending abscissae over
-    ``_key_denominator(pool.ratios)``; the checkpoint holds them decoded.
-    A run without a checkpoint path is one ``process_range`` call over
-    [0, M), and found is that call's map.  With one, the remaining ranks
-    are cut into min(64, remaining) chunks, and each ``process_range`` call
-    is handed the run's map as ``known``.  ``config.workers`` changes
-    nothing.  ``stop_after_ranges`` halts after that many chunk boundaries
-    in this call, which together with a checkpoint path models a
-    kill/resume at a rank boundary.
+    bits.  A key is an int that ``_KeyCodec.of_pool(config.n, pool.ratios)``
+    decodes into the ascending abscissae over its ``den``; the checkpoint
+    holds them decoded.  Every ``process_range`` call is handed the run's
+    map and adds its new sets to it.  Without a checkpoint path the run is
+    one call over [0, M); with one, the remaining ranks are cut into
+    min(64, remaining) chunks, and after each the chunk's keys, the last
+    ones in the map, are appended to the log with a commit line.
+    ``config.workers`` changes nothing.  ``stop_after_ranges`` halts after
+    that many chunk boundaries in this call, which together with a
+    checkpoint path models a kill/resume at a rank boundary.
     """
     if pool.gamma_bound != config.gamma_bound or pool.include_zero != config.include_zero:
         raise ConfigMismatch(
@@ -486,43 +468,32 @@ def run_enumeration(
     start_rank = gp_so_far = 0
     ckpt = config.checkpoint_path
     if ckpt:
-        # the log holds keys decoded, as integers over den
-        den = _key_denominator(pool.ratios)
-        codec = _key_codec(config.n, pool.ratios)
+        # the log holds keys decoded, as integers over L
+        codec = _KeyCodec.of_pool(config.n, pool.ratios)
         if os.path.exists(ckpt):
-            start_rank, found = _load_checkpoint(ckpt, echo, den, codec)
+            start_rank, found = _load_checkpoint(ckpt, echo, codec)
             gp_so_far = sum(1 for f in found.values() if f & FLAG_GP)
         else:
             with open(ckpt, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps({"config": echo, "schema_version": _CHECKPOINT_SCHEMA}, sort_keys=True) + "\n")
 
     remaining = total - start_rank
-    # chunks are checkpoint commit units, one an outer index, as many as 64
-    if ckpt and remaining:
-        chunks = [(lo + start_rank, hi + start_rank) for lo, hi in partition_space(remaining, min(64, remaining))]
-    else:
-        chunks = [(start_rank, total)] if remaining else []
-
-    def finish_chunk(partial: Partial) -> None:
-        nonlocal found, gp_so_far
-        if not ckpt:
-            # the run's one chunk: its map is the run's, not a copy of it
-            found = partial.found
-            return
-        # a chunk returns only keys the run does not hold yet
-        found.update(partial.found)
-        # append the chunk's keys, then the commit line that makes them count
-        gp_so_far += sum(f & FLAG_GP for f in partial.found.values())
-        commit = {"next_rank": partial.rank_hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
-        with open(ckpt, "a", encoding="utf-8") as fh:
-            for k in partial.found:
-                fh.write(json.dumps({"x": [format_over(v, den) for v in codec.unpack(k)]}) + "\n")
-            fh.write(json.dumps(commit) + "\n")
-
+    # checkpoint commit units are one outer index or more, as many as 64
+    chunks = partition_space(remaining, min(64, remaining) if ckpt else 1) if remaining else []
     completed = True
     for done, (lo, hi) in enumerate(chunks, 1):
+        lo, hi, before = lo + start_rank, hi + start_rank, len(found)
         # through the module global, where a caller may wrap it
-        finish_chunk(process_range(config.n, pool.ratios, config.enumeration_mode, lo, hi, known=found))
+        process_range(config.n, pool.ratios, config.enumeration_mode, lo, hi, found)
+        if ckpt:
+            # the chunk's keys, newest first, then the commit line that makes them count
+            new = list(islice(reversed(found.items()), len(found) - before))
+            gp_so_far += sum(f & FLAG_GP for _, f in new)
+            commit = {"next_rank": hi, "theta_all_so_far": len(found), "theta_gp_so_far": gp_so_far}
+            with open(ckpt, "a", encoding="utf-8") as fh:
+                for k, _ in reversed(new):
+                    fh.write(json.dumps({"x": [format_over(v, codec.den) for v in codec.unpack(k)]}) + "\n")
+                fh.write(json.dumps(commit) + "\n")
         if stop_after_ranges is not None and done >= stop_after_ranges and hi < total:
             completed = False
             break
@@ -543,14 +514,13 @@ def search(config: SearchConfig, pool: RatioPool) -> Iterator[Solution]:
     position are kept.
     """
     found, _ = run_enumeration(config, pool)
-    den = _key_denominator(pool.ratios)
-    unpack = _key_codec(config.n, pool.ratios).unpack
+    codec = _KeyCodec.of_pool(config.n, pool.ratios)
     # packed ints sort as their ascending x do; each is decoded only when read
     if config.gp_filter == GP_REQUIRE:
         keys = sorted(compress(found, map(FLAG_GP.__and__, found.values())))
     else:
         keys = sorted(found)
-    return (solution_from_x(unpack(key), den) for key in keys)
+    return (solution_from_x(codec.unpack(key), codec.den) for key in keys)
 
 
 def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
@@ -569,10 +539,9 @@ def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
         theta_gp = theta_all - mirror
         exclusions = {"mirror_zero": mirror, "zero_sum_extra": extras}
         if extras:
-            den = _key_denominator(pool.ratios)
-            unpack = _key_codec(3, pool.ratios).unpack
+            codec = _KeyCodec.of_pool(3, pool.ratios)
             extra_sets = [
-                tuple(Fraction(v, den) for v in unpack(k))
+                tuple(Fraction(v, codec.den) for v in codec.unpack(k))
                 for k in sorted(compress(found, map(extra.__eq__, flags)))
             ]
     else:

@@ -614,15 +614,17 @@ def test_cli_determinism_same_argv(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_rds_workers_env_default(monkeypatch):
-    monkeypatch.setenv("RDS_WORKERS", "3")
+def test_rds_workers_env_is_ignored(capsys, monkeypatch):
+    # --workers defaults to 1 whatever the environment holds, and a value
+    # below 1 is still a usage error
     from rds.cli import build_parser
 
-    args = build_parser().parse_args(["search", "--n", "3", "--gamma-max", "25"])
-    assert args.workers == 3
-    monkeypatch.setenv("RDS_WORKERS", "junk")
-    args = build_parser().parse_args(["count", "--n", "3", "--gamma-list", "25"])
-    assert args.workers == 1
+    for value in ("3", "junk"):
+        monkeypatch.setenv("RDS_WORKERS", value)
+        assert build_parser().parse_args(["search", "--n", "3", "--gamma-max", "25"]).workers == 1
+        assert build_parser().parse_args(["count", "--n", "3", "--gamma-list", "25"]).workers == 1
+    code, out, err = run_cli(capsys, "search", "--n", "3", "--gamma-max", "25", "--workers", "0")
+    assert (code, out) == (2, "") and "workers must be >= 1" in err
 
 
 def test_tables_exit_code_follows_regression(capsys, monkeypatch):

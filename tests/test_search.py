@@ -30,9 +30,6 @@ from rds.search import (
     partition_space,
     _flags_of_x,
     _KeyCodec,
-    _key_codec,
-    _key_denominator,
-    _key_width,
     _load_checkpoint,
     _ratio_class,
     _read_key_line,
@@ -163,7 +160,7 @@ def _naive_reference(n, ratios, lo, hi, keep=lambda idx: True):
     denominators), which must be integral, packed by the pool's codec.
     """
     L = 2 * lcm(*(r.denominator for r in ratios))
-    pack = _key_codec(n, ratios).pack
+    pack = _KeyCodec.of_pool(n, ratios).pack
     M = len(ratios)
     if n == 3:
         heads = (idx for idx in combinations(range(M), 3) if lo <= idx[0] < hi)
@@ -309,8 +306,8 @@ def _per_triple_items(ratios):
     """The n = 3 scan written one triple at a time: (i1, (key, flags)) of
     every strictly increasing head, in head order, the key packed from the
     solved x."""
-    h, _ = _over_lcm(ratios)
-    pack = _KeyCodec(3, _key_width(h)).pack
+    codec = _KeyCodec.of_pool(3, ratios)
+    h, pack = codec.h, codec.pack
     items = []
     for idx in combinations(range(len(h)), 3):
         x = solve_x_scaled([h[i] for i in idx])
@@ -383,17 +380,16 @@ def test_pool_heads_solve_to_integers_over_the_key_denominator(data):
     n = data.draw(st.integers(3, 6))
     idx = data.draw(st.lists(st.integers(0, len(ratios) - 1), min_size=n, max_size=n))
     head = [ratios[i] for i in idx]
-    L = _key_denominator(ratios)
+    codec = _KeyCodec.of_pool(n, ratios)
+    h, half, L = codec.h, codec.half, codec.den
     scaled = [v * L for v in solve_x(head)]
     assert all(v.denominator == 1 for v in scaled)
-    h, half = _over_lcm(ratios)
-    assert 2 * half == L
+    assert (h, half) == _over_lcm(ratios) and 2 * half == L
     nums = [h[i] for i in idx]
     assert [Fraction(v, half) for v in nums] == head
     assert solve_x_scaled(nums) == scaled
     # and each fits a field of the pool's keys
     x = sorted(solve_x_scaled(nums))
-    codec = _KeyCodec(n, _key_width(h))
     assert all(map(codec.fits, x))
     assert codec.unpack(codec.pack(x)) == x
 
@@ -405,8 +401,8 @@ def test_every_pool_head_fits_the_key_field(gamma, n):
     # coefficients +-1 and +-2, so its largest |value| over all heads of the
     # pool is reached at a head made of the extreme entries +-max|h|: the
     # heads over the two extremes, their neighbours and 0 bound every head
-    h, _ = _over_lcm(_pool_ratios(gamma))
-    codec = _KeyCodec(n, _key_width(h))
+    codec = _KeyCodec.of_pool(n, _pool_ratios(gamma))
+    h = codec.h
     top = max(map(abs, h))
     assert sorted(h)[:2] == [-v for v in sorted(h)[:-3:-1]] and 0 in h
     extremes = sorted(h)[:2] + [0] + sorted(h)[-2:]
@@ -558,14 +554,13 @@ def test_found_items_do_not_depend_on_workers_or_resume(tmp_path, n, make_pool, 
 
 @pytest.fixture
 def chunk_calls(monkeypatch):
-    """The (lo, hi) of every ``process_range`` call, and each call's map."""
+    """The (lo, hi) of every ``process_range`` call, and the map it was handed."""
     calls, maps = [], []
 
-    def recording(n, ratios, mode, lo, hi, known=()):
+    def recording(n, ratios, mode, lo, hi, found=None):
         calls.append((lo, hi))
-        partial = process_range(n, ratios, mode, lo, hi, known=known)
-        maps.append(partial.found)
-        return partial
+        maps.append(found)
+        return process_range(n, ratios, mode, lo, hi, found)
 
     monkeypatch.setattr(rds_search, "process_range", recording)
     return calls, maps
@@ -584,11 +579,15 @@ def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, chunk_calls, n, make_
     assert completed and calls == [(0, M)] and maps[0] is found
     items = list(found.items())
 
-    # with a checkpoint, one chunk an outer index, as many as 64
+    # with a checkpoint, one chunk an outer index, as many as 64, each
+    # handed the run's map
     calls.clear()
+    maps.clear()
     ckpt = cfg._replace(checkpoint_path=str(tmp_path / "run.ckpt"))
-    assert list(run_enumeration(ckpt, pool)[0].items()) == items
+    found = run_enumeration(ckpt, pool)[0]
+    assert list(found.items()) == items
     assert calls == [r for r in partition_space(M, min(64, M)) if r[1] > r[0]] and len(calls) > 1
+    assert all(m is found for m in maps)
 
     # the worker count changes nothing: one call in this process, for every n
     calls.clear()
@@ -597,26 +596,26 @@ def test_a_run_without_a_checkpoint_is_one_chunk(tmp_path, chunk_calls, n, make_
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_the_key_codec_is_built_only_for_a_checkpoint(tmp_path, monkeypatch, n):
+def test_the_key_codec_is_built_only_for_a_checkpoint(tmp_path, monkeypatch, chunk_calls, n):
+    # one codec per process_range call, and one more for the log, only
+    # when the run has a checkpoint
+    calls, _ = chunk_calls
     built = []
+    of_pool = _KeyCodec.of_pool
 
-    def counting(name):
-        original = getattr(rds_search, name)
+    def counting(*args):
+        built.append(args)
+        return of_pool(*args)
 
-        def wrapper(*args):
-            built.append(name)
-            return original(*args)
-
-        return wrapper
-
-    for name in ("_key_denominator", "_key_codec"):
-        monkeypatch.setattr(rds_search, name, counting(name))
+    monkeypatch.setattr(_KeyCodec, "of_pool", staticmethod(counting))
     pool = build_pool(25)
     cfg = SearchConfig(n=n, gamma_bound=25)
     found, _ = run_enumeration(cfg, pool)
-    assert built == []
+    assert len(built) == len(calls) == 1
+    built.clear()
+    calls.clear()
     assert run_enumeration(cfg._replace(checkpoint_path=str(tmp_path / "run.ckpt")), pool)[0] == found
-    assert built == ["_key_denominator", "_key_codec"]
+    assert len(calls) > 1 and len(built) == len(calls) + 1
 
 
 @pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
@@ -664,15 +663,19 @@ def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, worker
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
 def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
-    # each chunk with the keys of the chunks before it as ``known``: the
-    # chunk's own result without those keys, in the same order
+    # each range run on the run's map returns that map, with exactly the
+    # range's own keys that the map lacked appended in find order; every
+    # key the map held keeps its place and its flags
     ratios = make_pool().ratios
-    known = {}
+    found, overlaps = {}, 0
     for lo, hi in partition_space(total_ranks(mode, len(ratios), n), 16):
         alone = process_range(n, ratios, mode, lo, hi).found
-        got = process_range(n, ratios, mode, lo, hi, known=known).found
-        assert list(got.items()) == [(k, f) for k, f in alone.items() if k not in known]
-        known.update(got)
+        held = dict(found)
+        assert process_range(n, ratios, mode, lo, hi, found).found is found
+        assert list(found.items()) == list(held.items()) + [(k, f) for k, f in alone.items() if k not in held]
+        overlaps += sum(k in held for k in alone)
+    # in ordered mode some range re-finds a set the map holds
+    assert overlaps or mode != MODE_ORDERED
 
 
 @cache
@@ -769,12 +772,11 @@ def test_sidecar_renders_keys_as_fractions_and_reads_back(tmp_path, n, gamma):
     cfg = SearchConfig(n=n, gamma_bound=gamma, checkpoint_path=str(ckpt))
     found, completed = run_enumeration(cfg, pool, stop_after_ranges=5)
     assert not completed and found
-    den = _key_denominator(pool.ratios)
-    codec = _key_codec(n, pool.ratios)
-    lines = [json.dumps({"x": [str(Fraction(v, den)) for v in codec.unpack(k)]}) for k in found]
+    codec = _KeyCodec.of_pool(n, pool.ratios)
+    lines = [json.dumps({"x": [str(Fraction(v, codec.den)) for v in codec.unpack(k)]}) for k in found]
     assert _key_lines(ckpt) == "".join(line + "\n" for line in lines)
     last_commit = _log_lines(ckpt)[-1]
-    next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), den, codec)
+    next_rank, loaded = _load_checkpoint(str(ckpt), cfg.echo(pool), codec)
     assert next_rank == last_commit["next_rank"] == 5
     assert list(loaded.items()) == list(found.items())
 
@@ -823,7 +825,7 @@ def test_every_cut_of_a_log_resumes(tmp_path, n, gamma, stop_after, workers):
             ends.append(pos)
             states.append((json.loads(line).get("next_rank", 0), keys))
     assert len(ends) == stop_after + 1 and 0 < keys < len(items)
-    den, codec, echo = _key_denominator(pool.ratios), _key_codec(n, pool.ratios), cfg.echo(pool)
+    codec, echo = _KeyCodec.of_pool(n, pool.ratios), cfg.echo(pool)
     for cut in range(len(log) + 1):
         ckpt.write_bytes(log[:cut])
         if cut < ends[0]:
@@ -831,7 +833,7 @@ def test_every_cut_of_a_log_resumes(tmp_path, n, gamma, stop_after, workers):
                 run_enumeration(cfg, pool)
             continue
         k = bisect_right(ends, cut) - 1
-        next_rank, found = _load_checkpoint(str(ckpt), echo, den, codec)
+        next_rank, found = _load_checkpoint(str(ckpt), echo, codec)
         assert (next_rank, list(found.items())) == (states[k][0], items[: states[k][1]]), cut
         assert ckpt.read_bytes() == log[: ends[k]], cut
     for end, after in zip(ends, ends[1:] + [len(log)]):
@@ -1084,8 +1086,8 @@ def test_checkpoint_torn_tail_is_cut(tmp_path):
     log = ckpt.read_bytes()
     key_line = log[log.index(b'{"x"') :].split(b"\n")[0]
     ckpt.write_bytes(log + key_line + b"\n" + key_line[:9])
-    den, codec = _key_denominator(pool.ratios), _key_codec(4, pool.ratios)
-    next_rank, found = _load_checkpoint(str(ckpt), cfg.echo(pool), den, codec)
+    codec = _KeyCodec.of_pool(4, pool.ratios)
+    next_rank, found = _load_checkpoint(str(ckpt), cfg.echo(pool), codec)
     assert (next_rank, len(found)) == (3, 112)
     assert ckpt.read_bytes() == log
     ckpt.write_bytes(log + key_line[:9])
@@ -1144,15 +1146,15 @@ def test_sidecar_value_outside_the_key_field_is_corrupt():
     # a field holds |x * L| < 2^14 = 16384; a wider value would spill into
     # the next field up and could pack to another set's key
     ratios = build_pool(25).ratios
-    den, codec = _key_denominator(ratios), _key_codec(4, ratios)
-    assert (den, codec.bias) == (1680, 1 << 14)
-    assert _read_key_line(b'{"x": ["9", "1/2", "3/4", "-5/4"]}', codec, den) == (-2100, 840, 1260, 15120)
+    codec = _KeyCodec.of_pool(4, ratios)
+    assert (codec.den, codec.bias) == (1680, 1 << 14)
+    assert _read_key_line(b'{"x": ["9", "1/2", "3/4", "-5/4"]}', codec) == (-2100, 840, 1260, 15120)
     # 1023/105 and 1024/105 are 16368 and 16384 over L
     line = b'{"x": ["%s", "1/2", "3/4", "5/4"]}'
-    assert _read_key_line(line % b"-1023/105", codec, den) == (-16368, 840, 1260, 2100)
+    assert _read_key_line(line % b"-1023/105", codec) == (-16368, 840, 1260, 2100)
     for v in (b"10", b"-10", b"1024/105", b"-1024/105"):
         with pytest.raises(CheckpointCorrupt, match="outside the key field"):
-            _read_key_line(line % v, codec, den)
+            _read_key_line(line % v, codec)
 
 
 def test_zero_sum_breakdown_at_109():
