@@ -193,17 +193,21 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    config = SearchConfig(
+def _search_config(args, gamma: int, **extra) -> SearchConfig:
+    """The ``SearchConfig`` that the search and count flags give at the bound gamma."""
+    return SearchConfig(
         n=args.n,
-        gamma_bound=args.gamma_max,
+        gamma_bound=gamma,
         include_zero=not args.no_zero,
         enumeration_mode=_MODE_BY_FLAG[args.mode],
-        gp_filter=args.gp,
         workers=args.workers,
-        checkpoint_path=args.checkpoint,
+        **extra,
     )
-    pool = build_pool(args.gamma_max, include_zero=not args.no_zero)
+
+
+def _cmd_search(args) -> int:
+    config = _search_config(args, args.gamma_max, gp_filter=args.gp, checkpoint_path=args.checkpoint)
+    pool = build_pool(config.gamma_bound, include_zero=config.include_zero)
     t0 = time.perf_counter()
     solutions = search(config, pool)  # the whole run: a failure raises before any output
     count = _emit(solutions, args, kind="solution", config=config.echo(pool))
@@ -220,16 +224,7 @@ def _cmd_count(args) -> int:
         raise RdsError("--breakdown needs --format jsonl")  # a CSV row has no place for it
     gammas = _parse_gamma_list(args.gamma_list)
     # every bound is validated before the first row is written
-    configs = [
-        SearchConfig(
-            n=args.n,
-            gamma_bound=gamma,
-            include_zero=not args.no_zero,
-            enumeration_mode=_MODE_BY_FLAG[args.mode],
-            workers=args.workers,
-        )
-        for gamma in gammas
-    ]
+    configs = [_search_config(args, gamma) for gamma in gammas]
 
     def reports():
         for config in configs:
@@ -431,15 +426,10 @@ _VALUE_FLAGS = {"--x", "--psi", "--free", "--lo", "--hi", "--width"}
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # let values like "-4/15,8/5,4/5" follow their flag without being
     # mistaken for an option
-    merged = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if arg in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{arg}={argv[i + 1]}")
-            skip = True
+    merged: list[str] = []
+    for arg in argv:
+        if merged and merged[-1] in _VALUE_FLAGS and arg.startswith("-"):
+            merged[-1] += "=" + arg
         else:
             merged.append(arg)
     return merged

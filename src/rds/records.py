@@ -11,6 +11,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from itertools import combinations
@@ -56,45 +57,30 @@ def ratio_record(q: Rat) -> dict:
     return {"psi": str(q), "gamma": gamma, "class": classify_ratio(q)}
 
 
-class _PsiTexts(dict):
-    """The texts of pair sums, keyed by (numerator, den) and made on a miss.
-
-    For n = 3 every pair sum is a pool ratio, so one ``write_records`` call
-    meets few distinct ones: 1,710 for the 14,190 sets of Gamma = 65.  An
-    n >= 4 tail entry need not be a pool ratio, so the table is emptied
-    when it reaches ``_PSI_TEXTS_MAX`` entries, and its memory never grows
-    with the number of sets.  The x and distance texts are not kept: they
-    rarely repeat.
-    """
-
-    def __missing__(self, key: tuple[int, int]) -> str:
-        if len(self) >= _PSI_TEXTS_MAX:
-            self.clear()
-        text = self[key] = format_over(*key)
-        return text
+# Pair-sum texts repeat across sets: for n = 3 every pair sum is a pool
+# ratio, so the 14,190 sets of Gamma = 65 have 1,710 distinct ones.  An n >= 4
+# tail entry need not be a pool ratio, so the cache drops its least recently
+# used text beyond 1 << 14 and its memory never grows with the number of
+# sets.  The x and distance texts are not cached: they rarely repeat.
+_psi_text = functools.lru_cache(maxsize=1 << 14)(format_over)
 
 
-_PSI_TEXTS_MAX = 1 << 14
-
-
-def _solution_texts(s: Solution, psi_texts: dict | None = None) -> tuple[list[str], list[str], list[str]]:
+def _solution_texts(s: Solution) -> tuple[list[str], list[str], list[str]]:
     """The x, psi and distance strings of a solution, from its integers:
     abscissae and pair sums over den, distances over den^2."""
     nums, den = s.nums, s.den
     den2 = den * den
     pairs = list(combinations(nums, 2))
-    if psi_texts is None:
-        psi_texts = _PsiTexts()
     return (
         [format_over(v, den) for v in nums],
-        [psi_texts[a + b, den] for a, b in pairs],
+        [_psi_text(a + b, den) for a, b in pairs],
         # ``distance_nums``: a Solution has a root for every pair
         [format_over(abs(b - a) * c, den2) for (a, b), c in zip(pairs, s.roots)],
     )
 
 
-def solution_record(s: Solution, psi_texts: dict | None = None) -> dict:
-    x, psi, distances = _solution_texts(s, psi_texts)
+def solution_record(s: Solution) -> dict:
+    x, psi, distances = _solution_texts(s)
     return {
         "n": s.n,
         "x": x,
@@ -107,15 +93,15 @@ def solution_record(s: Solution, psi_texts: dict | None = None) -> dict:
 _SEP = '", "'  # between the quoted items of a JSON list of strings
 
 
-def solution_line(s: Solution, psi_texts: dict | None = None) -> str:
+def solution_line(s: Solution) -> str:
     """``json.dumps(solution_record(s))``, rendered without the dict.
 
     Rational texts hold only digits, "-" and "/", so nothing is escaped.
     A set of fewer than two points has empty lists and takes the dict.
     """
-    x, psi, distances = _solution_texts(s, psi_texts)
+    x, psi, distances = _solution_texts(s)
     if not psi:
-        return json.dumps(solution_record(s, psi_texts))
+        return json.dumps(solution_record(s))
     gp = "true" if s.general_position else "false"
     return (
         f'{{"n": {len(x)}, "x": ["{_SEP.join(x)}"], "psi": ["{_SEP.join(psi)}"], '
@@ -183,13 +169,12 @@ def write_records(
     the stream's own blocks, with one flush at the end.
     """
     count = 0
-    psi_texts = _PsiTexts()
     if fmt == "jsonl":
         out.write(json.dumps(envelope(kind, config)) + "\n")
         out.flush()
         for record in records:
             if isinstance(record, Solution):
-                out.write(solution_line(record, psi_texts) + "\n")
+                out.write(solution_line(record) + "\n")
             else:
                 out.write(json.dumps(record) + "\n")
                 out.flush()
@@ -202,7 +187,7 @@ def write_records(
         for record in records:
             solution = isinstance(record, Solution)
             if solution:
-                record = solution_record(record, psi_texts)
+                record = solution_record(record)
             writer.writerow([_csv_cell(record.get(col)) for col in header])
             if not solution:
                 out.flush()

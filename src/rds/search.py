@@ -42,7 +42,7 @@ import os
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import countOf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,7 +54,6 @@ from .solver import (
     _over_lcm,
     check_distinct,
     check_general_position,
-    indices_set,
     solution_from_x,
     solve_x,
     solve_x_scaled,
@@ -266,7 +265,7 @@ def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
 def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> None:
     """The n >= 4 scan over the heads with i_n in [lo, hi), for every mode.
 
-    The case-1 and case-2 tails of ``solver.complete_psi`` are
+    The first two tail groups of ``solver.complete_psi`` are
     psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1, so psi_1 and
     psi_2 must lie in every R(psi_n + psi_k) (``_ratio_class``); each R is
     built at most once per call, cached by its sum.
@@ -285,17 +284,18 @@ def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> 
     or i_t < i_(t+1), and i2 to below i3.
 
     A leaf runs i2 over the sorted candidates below the mode cut and i1
-    over the candidates before i2, and tests case 3 (n >= 5) per head.
-    Every test and the closed form run on ``codec.h``, the pool's
-    numerators over ``codec.half`` = L / 2, so a survivor's key comes out
-    over L with no division, and is packed by ``codec``.  A key ``found``
-    lacks takes its flags from ``solve_x`` on that integer head, whose x
-    are the true x times L / 2 > 0; both flag tests are sign tests of sums.
+    over the candidates before i2, and tests the third group (n >= 5) per
+    head, on the middle pairs 3 <= a < b <= n-1.  Every test and the
+    closed form run on ``codec.h``, the pool's numerators over
+    ``codec.half`` = L / 2, so a survivor's key comes out over L with no
+    division, and is packed by ``codec``.  A key ``found`` lacks takes its
+    flags from ``solve_x`` on that integer head, whose x are the true x
+    times L / 2 > 0; both flag tests are sign tests of sums.
     """
     h, half, n, pack = codec.h, codec.half, codec.n, codec.pack
     M = len(h)
     step = _ORDER_STEP.get(mode, -M)
-    sub_pairs = indices_set(n - 3) if n >= 5 else []
+    mid_pairs = list(combinations(range(2, n - 1), 2))  # the middle pairs, 0-based
     classes: dict[int, set[int]] = {}  # R(S) by the sum S
 
     def leaf(outer: list[int], members: list[int]) -> None:
@@ -304,12 +304,9 @@ def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> 
         for pos, i2 in enumerate(below):
             for i1 in members[:pos]:
                 nums = [h[i1], h[i2]] + outer_nums
-                if sub_pairs:  # case 3: psi_n + psi_a + psi_b - psi_1 - psi_2
+                if mid_pairs:  # the third group: psi_n + psi_a + psi_b - psi_1 - psi_2
                     c = nums[-1] - nums[0] - nums[1]
-                    if not all(
-                        is_ratio_pair(c + nums[m_i + 1] + nums[n_i + 1], half)
-                        for m_i, n_i in sub_pairs
-                    ):
+                    if not all(is_ratio_pair(c + nums[a] + nums[b], half) for a, b in mid_pairs):
                         continue
                 x = solve_x_scaled(nums)
                 # most keys are held already, so test distinctness only on new ones:

@@ -40,10 +40,6 @@ def indices_set(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, n + 1), 2))
 
 
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def solve_x(head: Sequence[Rat], free: Rat | None = None) -> list[Rat]:
     """Abscissae from an independent ratio vector.
 
@@ -87,27 +83,23 @@ def _over_lcm(x: Sequence[Rat]) -> tuple[list[int], int]:
 def complete_psi(head: Sequence[Rat]) -> list[Rat]:
     """Extend an n-entry head to the full (n choose 2) ratio vector.
 
-    Tail entries are the forced linear combinations; they are returned
-    whether or not they are valid ratios.  For n = 3 the head already is
+    The tail is the paper's three groups of forced entries over the middle
+    entries psi_3..psi_(n-1): psi_n + psi_k - psi_2 for each k, then
+    psi_n + psi_k - psi_1 for each k, then psi_n + psi_a + psi_b - psi_1 -
+    psi_2 for each pair a < b.  They are returned whether or not they are
+    valid ratios.  For n = 3 there is no middle, and the head already is
     the whole vector.
     """
-    n = len(head)
-    if n < 3:
-        raise BadLength(f"completion needs n >= 3, got {n}")
-    psi = list(head)
-    pn = head[-1]
-    p1, p2 = head[0], head[1]
-    total = pair_count(n)
-    sub_pairs = indices_set(n - 3) if n >= 5 else []
-    for i in range(1, total - n + 1):
-        if i <= n - 3:
-            psi.append(pn + head[i + 1] - p2)
-        elif i <= 2 * n - 6:
-            psi.append(pn + head[i + 4 - n] - p1)
-        else:
-            m_i, n_i = sub_pairs[i + 6 - 2 * n - 1]
-            psi.append(pn + head[m_i + 1] + head[n_i + 1] - p1 - p2)
-    return psi
+    if len(head) < 3:
+        raise BadLength(f"completion needs n >= 3, got {len(head)}")
+    p1, p2, pn = head[0], head[1], head[-1]
+    mid = head[2:-1]
+    return (
+        list(head)
+        + [pn + v - p2 for v in mid]
+        + [pn + v - p1 for v in mid]
+        + [pn + a + b - p1 - p2 for a, b in combinations(mid, 2)]
+    )
 
 
 class ExistenceCheck(NamedTuple):

@@ -398,6 +398,22 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, merged",
+    [
+        (["verify", "--x", "-4/15,8/5,4/5"], ["verify", "--x=-4/15,8/5,4/5"]),
+        (["verify", "--x=-1"], ["verify", "--x=-1"]),
+        (["--x", "--x", "-1"], ["--x=--x", "-1"]),  # a merged item takes no second value
+        (["verify", "--x"], ["verify", "--x"]),  # a value flag as the last token
+        (["search", "--n", "-3"], ["search", "--n", "-3"]),  # --n is not a value flag
+    ],
+)
+def test_merge_negative_values(argv, merged):
+    from rds.cli import _merge_negative_values
+
+    assert _merge_negative_values(argv) == merged
+
+
 def test_search_out_deterministic_across_workers(tmp_path):
     outputs = []
     for workers in (1, 2, 8):

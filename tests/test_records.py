@@ -154,3 +154,47 @@ def test_one_point_solution_line_keeps_the_json_bytes():
     sol = solution_from_x([parse_rat("3/4")])
     assert solution_line(sol) == json.dumps(solution_record(sol))
     assert json.loads(solution_line(sol))["psi"] == []
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_psi_text_cache_never_changes_the_bytes(fmt, n):
+    from rds.records import _psi_text
+
+    bound = 1 << 14
+    sols = list(search(SearchConfig(n=n, gamma_bound=25), build_pool(25)))
+    # the same records from the Fraction views, written as dicts: no cache is read
+    reference = io.StringIO()
+    rows = (
+        {
+            "n": s.n,
+            "x": [str(v) for v in s.x],
+            "psi": [str(v) for v in s.psi],
+            "distances": [str(v) for v in s.distances],
+            "general_position": s.general_position,
+        }
+        for s in sols
+    )
+    write_records(rows, reference, fmt=fmt)
+
+    def render() -> str:
+        def checked():
+            for s in sols:
+                assert _psi_text.cache_info().currsize <= bound
+                yield s
+
+        out = io.StringIO()
+        write_records(checked(), out, fmt=fmt)
+        assert _psi_text.cache_info().currsize <= bound
+        return out.getvalue()
+
+    _psi_text.cache_clear()
+    cold = render()
+    warm = render()
+    # no pair sum of these sets lies over 2^40, so every one of these is unrelated
+    for k in range(bound):
+        _psi_text(2 * k + 1, 1 << 40)
+    assert _psi_text.cache_info().currsize == bound
+    evicted = render()
+    assert _psi_text.cache_info().currsize == bound
+    assert cold == warm == evicted == reference.getvalue()
