@@ -1,6 +1,6 @@
 """Exact-arithmetic rational distance sets on the parabola y = x^2."""
 
-from .rat import Rat, is_perfect_square, isqrt, normalize, parse_rat
+from .rat import Rat, parse_rat
 from .pythagorean import (
     RatioPool,
     Triplet,

@@ -220,8 +220,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.breakdown and args.format != "jsonl":
-        raise RdsError("--breakdown needs --format jsonl")  # a CSV row has no place for it
     gammas = _parse_gamma_list(args.gamma_list)
     # every bound is validated before the first row is written
     configs = [_search_config(args, gamma) for gamma in gammas]
@@ -235,7 +233,7 @@ def _cmd_count(args) -> int:
                 f"theta_gp={report.theta_gp} elapsed={report.elapsed:.2f}s",
                 file=sys.stderr,
             )
-            yield count_record(report, breakdown=args.breakdown)
+            yield count_record(report)
 
     _emit(
         reports(),
@@ -332,19 +330,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p, default_format="jsonl"):
-        p.add_argument("--format", choices=["jsonl", "csv"], default=default_format)
+    def add_output_flags(p, default_format=None):
+        # --format only for a command whose whole record fits a
+        # records.CSV_HEADERS table; any other command writes JSONL
+        if default_format is None:
+            p.set_defaults(format="jsonl")
+        else:
+            p.add_argument("--format", choices=["jsonl", "csv"], default=default_format)
         p.add_argument("--out", help="write records to this path instead of stdout")
 
     p = sub.add_parser("triplets", help="primitive Pythagorean triplets with bounded hypotenuse")
     p.add_argument("--gamma-max", type=int, required=True)
-    add_output_flags(p)
+    add_output_flags(p, default_format="jsonl")
     p.set_defaults(func=_cmd_triplets)
 
     p = sub.add_parser("ratios", help="the deduplicated ratio pool for a hypotenuse bound")
     p.add_argument("--gamma-max", type=int, required=True)
     p.add_argument("--no-zero", action="store_true", help="exclude the zero ratio")
-    add_output_flags(p)
+    add_output_flags(p, default_format="jsonl")
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("solve", help="solve abscissae from an independent ratio vector")
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--checkpoint", help="checkpoint path for kill/resume")
     p.add_argument("--no-zero", action="store_true")
-    add_output_flags(p)
+    add_output_flags(p, default_format="jsonl")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("count", help="count solutions per hypotenuse bound")
@@ -387,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-list", required=True, help="comma-separated bounds, e.g. 25,29,41")
     p.add_argument("--mode", choices=sorted(_MODE_BY_FLAG), default="ordered", help=_MODE_HELP)
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--breakdown", action="store_true", help="include exclusion breakdown (needs --format jsonl)")
     p.add_argument("--no-zero", action="store_true")
     add_output_flags(p, default_format="csv")
     p.set_defaults(func=_cmd_count)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="pool growth vs the Gamma/(2*pi) reference")
     p.add_argument("--gamma-list", required=True)
-    add_output_flags(p)
+    add_output_flags(p, default_format="jsonl")
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("tables", help="bundled reference regression; exit 1 on mismatch")

@@ -9,10 +9,6 @@ class ZeroDenominator(RdsError):
     """A rational was constructed with denominator zero."""
 
 
-class NegativeInput(RdsError):
-    """An integer square root was requested for a negative number."""
-
-
 class NotARatio(RdsError):
     """A value that must be a Pythagorean ratio is not one."""
 

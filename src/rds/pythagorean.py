@@ -18,7 +18,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EmptyInterval, NotARatio
-from .rat import Rat, ZERO, is_perfect_square, isqrt
+from .rat import Rat, ZERO
 
 
 class _TripletFields(NamedTuple):
@@ -126,10 +126,9 @@ def min_hypotenuse(q: Rat) -> int:
     """Hypotenuse of the primitive triplet realizing a nonzero ratio."""
     if q == 0:
         raise NotARatio("the zero ratio has no realizing triplet")
-    a = q.denominator
-    b = q.numerator
-    root, exact = isqrt(a * a + b * b)
-    if not exact:
+    s = q.denominator**2 + q.numerator**2
+    root = math.isqrt(s)
+    if root * root != s:
         raise NotARatio(f"{q} is not a Pythagorean ratio")
     return root
 
@@ -153,15 +152,16 @@ def nu(p: int, q: int) -> int:
     """
     if not 0 < p < q:
         raise DomainError(f"need 0 < p < q, got p={p} q={q}")
-    return 1 if is_perfect_square(2 * q * (q - p)) else 0
+    s = 2 * q * (q - p)
+    root = math.isqrt(s)
+    return 1 if root * root == s else 0
 
 
 def nu_triplet(p: int, q: int) -> Triplet | None:
     """The triplet witnessing nu(p, q) == 1, or None."""
     if nu(p, q) == 0:
         return None
-    root, _ = isqrt(2 * q * (q - p))
-    alpha = q - p + root
+    alpha = q - p + math.isqrt(2 * q * (q - p))
     return Triplet(alpha, alpha + p, alpha + q)
 
 

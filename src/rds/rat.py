@@ -1,4 +1,4 @@
-"""Canonical exact rationals and big-integer square root helpers.
+"""Canonical exact rationals and their text form.
 
 ``Rat`` is ``fractions.Fraction``: arbitrary precision, always reduced to
 lowest terms with a positive denominator, hashable and immutable.  All
@@ -17,33 +17,28 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import NegativeInput, ZeroDenominator
+from .errors import ZeroDenominator
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 
-_RAT_RE = re.compile(r"[+-]?\d+(/\d+)?")
-
-
-def normalize(num: int, den: int) -> Rat:
-    """Return the canonical rational num/den; the sign lives on the numerator.
-
-    Raises ZeroDenominator when den == 0.
-    """
-    if den == 0:
-        raise ZeroDenominator(f"denominator is zero for numerator {num}")
-    return Fraction(num, den)
+_RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits only
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``"num/den"`` or ``"num"``; rejects decimals and exponents."""
+    """Parse ``"num/den"`` or ``"num"``; rejects decimals and exponents.
+
+    Raises ZeroDenominator when den == 0.
+    """
     s = text.strip()
     if not _RAT_RE.fullmatch(s):
         raise ValueError(f"not a rational in num/den form: {text!r}")
     if "/" in s:
-        num_s, den_s = s.split("/")
-        return normalize(int(num_s), int(den_s))
+        num, den = map(int, s.split("/"))
+        if den == 0:
+            raise ZeroDenominator(f"denominator is zero for numerator {num}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 
@@ -57,22 +52,3 @@ def format_over(num: int, den: int) -> str:
     if g == den:
         return str(num // den)
     return f"{num // g}/{den // g}"
-
-
-def isqrt(n: int) -> tuple[int, bool]:
-    """Return (floor(sqrt(n)), n is a perfect square).
-
-    Raises NegativeInput when n < 0.
-    """
-    if n < 0:
-        raise NegativeInput(f"isqrt of negative number {n}")
-    root = math.isqrt(n)
-    return root, root * root == n
-
-
-def is_perfect_square(n: int) -> bool:
-    """True iff n >= 0 and some integer k satisfies k*k == n."""
-    if n < 0:
-        return False
-    root = math.isqrt(n)
-    return root * root == n

@@ -21,7 +21,6 @@ from . import __version__
 from .errors import RdsError
 from .pythagorean import Triplet, classify_ratio, min_hypotenuse
 from .rat import Rat, format_over, parse_rat
-from .search import CountReport
 from .solver import Solution, solution_from_x
 
 SCHEMA_VERSION = 1
@@ -109,7 +108,9 @@ def solution_line(s: Solution) -> str:
     )
 
 
-def count_record(report: CountReport, breakdown: bool = False) -> dict:
+def count_record(report) -> dict:
+    """The record of a ``search.CountReport``, with its exclusion counts
+    and extra zero-sum sets where the report has them (n = 3)."""
     record: dict = {
         "gamma": report.gamma_bound,
         "theta_gp": report.theta_gp,
@@ -118,7 +119,7 @@ def count_record(report: CountReport, breakdown: bool = False) -> dict:
         "mode": report.mode,
         "pool_size": report.pool_size,
     }
-    if breakdown and report.exclusions:
+    if report.exclusions:
         record["exclusions"] = dict(report.exclusions)
         record["extra_zero_sum_sets"] = [
             [str(v) for v in xs] for xs in report.extra_zero_sum_sets

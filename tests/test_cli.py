@@ -219,8 +219,8 @@ def test_count_csv_keeps_the_bench_digest(capsys):
     )
 
 
-# sha256 of the n = 3 --breakdown stdout, taken while every run was cut
-# into chunks and its flags tallied with a Counter
+# sha256 of the n = 3 JSONL stdout, with its exclusion counts, taken while
+# every run was cut into chunks and its flags tallied with a Counter
 @pytest.mark.parametrize(
     "gamma, zero, digest",
     [
@@ -234,7 +234,7 @@ def test_count_csv_keeps_the_bench_digest(capsys):
     ids=["g109", "g109-no-zero", "g145", "g145-no-zero", "g301", "g301-no-zero"],
 )
 def test_count_breakdown_keeps_its_digest(capsys, gamma, zero, digest):
-    argv = ["count", "--n", "3", "--format", "jsonl", "--breakdown", "--gamma-list", gamma, *zero]
+    argv = ["count", "--n", "3", "--format", "jsonl", "--gamma-list", gamma, *zero]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -271,17 +271,12 @@ def test_count_n4_keeps_its_digest(capsys, mode, digest):
             "6f24fd725a5517f292a58feaaeb0cb54c0b8682427fff4b53499ef264a4dde5e",
         ),
         (
-            ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0", "--format", "csv"],
-            0,
-            "fed7d515666fac7f1968e8af9de058b2adb21fb72dc0683a4d526f4c88fa2c6f",
-        ),
-        (
             ["density-probe", "--samples", "20", "--gamma-cap", "1000", "--seed", "3"],
             1,
             "723d2c330cae3dc1fea60a5caf6d0bf52d223e9a9141f26407c66b72bb657096",
         ),
     ],
-    ids=["ratios-jsonl", "ratios-csv", "complete-jsonl", "complete-csv", "density-probe-samples"],
+    ids=["ratios-jsonl", "ratios-csv", "complete-jsonl", "density-probe-samples"],
 )
 def test_library_records_keep_their_bytes(capsys, argv, code, digest):
     got_code, out, _ = run_cli(capsys, *argv)
@@ -434,7 +429,7 @@ def test_search_out_deterministic_across_workers(tmp_path):
 @pytest.mark.parametrize("mode", ["ordered", "multiset", "subset"])
 @pytest.mark.parametrize("n, gammas", [("3", "25,65,109"), ("4", "25,41")], ids=["n3", "n4"])
 def test_count_bytes_do_not_depend_on_workers(capsys, n, gammas, mode):
-    argv = ["count", "--n", n, "--gamma-list", gammas, "--mode", mode, "--breakdown", "--format", "jsonl"]
+    argv = ["count", "--n", n, "--gamma-list", gammas, "--mode", mode, "--format", "jsonl"]
     one = run_cli(capsys, *argv, "--workers", "1")
     two = run_cli(capsys, *argv, "--workers", "2")
     assert one[0] == two[0] == 0
@@ -456,10 +451,13 @@ def test_count_checks_every_bound_before_writing(tmp_path, capsys):
 
 def _rds_session(*argv, python_args=("-m", "rds")):
     # its own process group, so that a signal to the group, as Ctrl-C in a
-    # terminal sends, reaches the child and not the test
+    # terminal sends, reaches the child and not the test.  SIGINT starts at
+    # its default: a child that inherits it ignored, as from a background
+    # job of a non-interactive shell, installs no KeyboardInterrupt handler
     return subprocess.Popen(
         [sys.executable, *python_args, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(), start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
 
 
@@ -660,6 +658,12 @@ def test_cli_import_leaves_the_bundled_tables_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_records_import_leaves_the_search_unloaded():
+    script = "import sys, rds.records; print('rds.search' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_no_rds_import_loads_dataclasses_or_inspect():
     # every rds child imports rds.cli, and `rds tables` rds.reference; -S
     # leaves out whatever the site's .pth files import
@@ -705,9 +709,56 @@ def test_non_integer_gamma_item_is_usage_error(capsys, command, gammas, item):
     assert err == f"rds: --gamma-list item {item!r} is not an integer\n"
 
 
-@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["default", "csv"])
-def test_breakdown_needs_jsonl(capsys, fmt):
-    # a CSV row has no column for it, so it would be dropped without a word
-    code, out, err = run_cli(capsys, "count", "--n", "3", "--gamma-list", "109", "--breakdown", *fmt)
-    assert (code, out) == (2, "")
-    assert err == "rds: --breakdown needs --format jsonl\n"
+# a table's CSV header is its JSONL record's keys, so CSV drops no field;
+# count's reference layout is test_count_csv_matches_reference_layout's
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triplets", "--gamma-max", "25"],
+        ["ratios", "--gamma-max", "25"],
+        ["search", "--n", "3", "--gamma-max", "13"],
+        ["growth", "--gamma-list", "25,100"],
+    ],
+    ids=["triplets", "ratios", "search", "growth"],
+)
+def test_csv_header_is_the_jsonl_record(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    keys = list(payload_lines(out)[0])
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0].split(",") == keys
+
+
+# the nu, complete, verify, solve and density-probe records have no CSV
+# table, which would drop fields, so they take no --format; count's JSONL
+# always carries its exclusion counts, so it takes no --breakdown
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nu", "--p", "1", "--q", "2", "--format", "csv"],
+        ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0", "--format", "csv"],
+        ["verify", "--x", "-4/15,8/5,4/5", "--format", "csv"],
+        ["solve", "--n", "3", "--psi", "4/3,8/15,12/5", "--format", "csv"],
+        ["density-probe", "--lo", "1/2", "--hi", "11/20", "--gamma-cap", "25", "--format", "csv"],
+        ["count", "--n", "3", "--gamma-list", "109", "--breakdown"],
+        ["count", "--n", "3", "--gamma-list", "109", "--breakdown", "--format", "csv"],
+        ["count", "--n", "3", "--gamma-list", "109", "--breakdown", "--format", "jsonl"],
+    ],
+    ids=[
+        "nu-csv",
+        "complete-csv",
+        "verify-csv",
+        "solve-csv",
+        "density-probe-csv",
+        "count-breakdown",
+        "count-breakdown-csv",
+        "count-breakdown-jsonl",
+    ],
+)
+def test_flags_that_would_drop_fields_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: " in err

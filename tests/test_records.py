@@ -91,7 +91,7 @@ def test_empty_streams():
 
 def test_count_record_breakdown():
     report = count_solutions(SearchConfig(n=3, gamma_bound=109), build_pool(109))
-    rec = count_record(report, breakdown=True)
+    rec = count_record(report)
     assert rec["exclusions"] == {"mirror_zero": 36, "zero_sum_extra": 4}
     assert len(rec["extra_zero_sum_sets"]) == 4
 

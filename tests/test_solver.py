@@ -5,7 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from rds.errors import BadLength, BadN, DuplicatePoint, MissingFreeParam
 from rds.pythagorean import build_pool, is_pythagorean_ratio
-from rds.rat import isqrt, parse_rat
+from rds.rat import parse_rat
 from rds.records import parse_solution_record, solution_line, solution_record
 from rds.solver import (
     check_distinct,
@@ -333,8 +333,9 @@ def _reference_verify(x):
     for i, j in combinations(range(len(x)), 2):
         s = x[i] + x[j]
         a, b = s.denominator, s.numerator
-        c, exact = isqrt(a * a + b * b)
-        if exact:
+        c2 = a * a + b * b
+        c = isqrt(c2)
+        if c * c == c2:
             distances.append(abs(x[j] - x[i]) * c / a)
         else:
             distances.append(None)
