@@ -18,10 +18,8 @@ from . import __version__
 from .errors import RdsError
 from .pythagorean import (
     build_pool,
-    classify_ratio,
     find_ratio_in_interval,
     is_pythagorean_ratio,
-    min_hypotenuse,
     nu,
     nu_triplet,
     primitive_triplets,
@@ -59,8 +57,8 @@ _MODE_BY_FLAG = {
     "subset": MODE_SUBSET,
 }
 _MODE_HELP = (
-    "heads tried: ordered, all (for n >= 4 one per psi_1 <-> psi_2 swap, which gives the same sets); "
-    "multiset, pool indices never decrease; subset, they strictly increase"
+    "sets kept: ordered, every set with some head in the pool; multiset, those with a head whose "
+    "pool indices never decrease; subset, those with a head whose pool indices strictly increase"
 )
 _WORKERS_HELP = "accepted for compatibility and has no effect: every run is one process (default: 1)"
 
@@ -151,7 +149,7 @@ def _cmd_solve(args) -> int:
         raise RdsError(f"--free is for n = 2 only, got n={n}")
     free = parse_rat(args.free) if args.free is not None else None
     record, ok = _solve_record(n, head, free)
-    _emit([record], args, kind="solution")
+    _emit([record], args, kind="solve")
     return 0 if ok else 1
 
 
@@ -168,7 +166,7 @@ def _cmd_complete(args) -> int:
         "existence_ok": existence.ok,
         "failing_positions": existence.failing,
     }
-    _emit([record], args, kind="solution")
+    _emit([record], args, kind="complete")
     return 0
 
 
@@ -185,7 +183,7 @@ def _cmd_verify(args) -> int:
         "failing_pairs": [list(p) for p in verdict.failing_pairs],
         "general_position": check_general_position(x),
     }
-    _emit([record], args, kind="solution")
+    _emit([record], args, kind="verify")
     if not verdict.ok:
         pairs = ", ".join(f"({i},{j})" for i, j in verdict.failing_pairs)
         print(f"verify: irrational distance at pairs {pairs}", file=sys.stderr)
@@ -253,15 +251,13 @@ def _cmd_nu(args) -> int:
         "nu": value,
         "triplet": None if t is None else {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
     }
-    _emit([record], args, kind="count")
+    _emit([record], args, kind="nu")
     return 0
 
 
 def _cmd_density_probe(args) -> int:
     import random
 
-    misses = 0
-    records = []
     if args.samples is not None:
         if args.lo is not None or args.hi is not None:
             raise RdsError("--samples must be used without --lo and --hi")  # it would drop them
@@ -274,34 +270,24 @@ def _cmd_density_probe(args) -> int:
         grid = 600
         # keep sampled subintervals inside (-3, 3)
         hi_limit = 3 * grid - max(1, int(width * grid))
-        for _ in range(args.samples):
-            lo = Fraction(rng.randint(-3 * grid, hi_limit), grid)
-            hi = lo + width
-            hit = find_ratio_in_interval(lo, hi, args.gamma_cap)
-            records.append(_probe_record(lo, hi, hit))
-            misses += hit is None
+        los = [Fraction(rng.randint(-3 * grid, hi_limit), grid) for _ in range(args.samples)]
+        intervals = [(lo, lo + width) for lo in los]
     else:
         for flag, value in (("--width", args.width), ("--seed", args.seed)):
             if value is not None:
                 raise RdsError(f"{flag} must be used with --samples")  # it would be ignored
         if args.lo is None or args.hi is None:
             raise RdsError("density-probe needs --lo and --hi (or --samples)")
-        lo, hi = parse_rat(args.lo), parse_rat(args.hi)
-        hit = find_ratio_in_interval(lo, hi, args.gamma_cap)
-        records.append(_probe_record(lo, hi, hit))
-        misses += hit is None
-    _emit(records, args, kind="ratio")
-    return 1 if misses else 0
+        intervals = [(parse_rat(args.lo), parse_rat(args.hi))]
+    records = [_probe_record(lo, hi, find_ratio_in_interval(lo, hi, args.gamma_cap)) for lo, hi in intervals]
+    _emit(records, args, kind="density-probe")
+    return 1 if any(r["psi"] is None for r in records) else 0
 
 
 def _probe_record(lo, hi, hit) -> dict:
-    return {
-        "psi": None if hit is None else str(hit),
-        "gamma": None if hit is None or hit == 0 else min_hypotenuse(hit),
-        "class": None if hit is None else classify_ratio(hit),
-        "lo": str(lo),
-        "hi": str(hi),
-    }
+    # a miss keeps the ratio record's fields, as nulls
+    record = dict.fromkeys(("psi", "gamma", "class")) if hit is None else ratio_record(hit)
+    return {**record, "lo": str(lo), "hi": str(hi)}
 
 
 def _cmd_growth(args) -> int:

@@ -4,15 +4,14 @@ Candidate independent ratio vectors (heads) are drawn from a bounded
 ratio pool, completed to full vectors (``solver.complete_psi``'s tail,
 tested exactly, without the pool's hypotenuse cap) and filtered by the
 membership and distinctness conditions.  A rank is the pool index of the
-kernel's outermost loop, so every n and mode has M ranks:
+kernel's outermost loop, so every n has M ranks:
 
-* n = 3 tries the heads i1 < i2 < i3, ranked by i1; every mode gives
-  exactly these sets (permuting a head permutes x, and a repeated entry
-  repeats an x);
+* n = 3 tries the heads i1 < i2 < i3, ranked by i1;
 * n >= 4 ranks heads by i_n and tries only heads with i1 < i2 (swapping
-  points 2 and 3 swaps psi_1 and psi_2 and keeps the set); multiset mode
-  keeps heads whose pool indices never decrease, subset mode heads whose
-  indices strictly increase.
+  points 2 and 3 swaps psi_1 and psi_2 and keeps the set).
+
+These give the ordered sets; multiset and subset mode keep those with a
+head in their order (``_in_mode_order``).
 
 Solutions are deduplicated by a canonical key, so partition boundaries
 never affect the result.  A key is one ``int``: the ascending abscissae
@@ -40,7 +39,6 @@ import json
 import math
 import os
 import time
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, compress, islice, repeat
 from operator import countOf
@@ -64,9 +62,6 @@ MODE_MULTISET = "multiset_dedup"
 MODE_SUBSET = "subset_only"
 MODES = (MODE_ORDERED, MODE_MULTISET, MODE_SUBSET)
 
-# a kept head's pool indices have i_t < i_(t+1) + 1 - step (ordered: step -M, no cut)
-_ORDER_STEP = {MODE_MULTISET: 0, MODE_SUBSET: 1}
-
 GP_ANNOTATE = "annotate"
 GP_REQUIRE = "require"
 GP_FILTERS = (GP_ANNOTATE, GP_REQUIRE)
@@ -76,8 +71,9 @@ FLAG_GP = 1  # general position under the adopted rule
 FLAG_ZERO_SUM = 2  # n = 3 only: all abscissae sum to zero
 
 # 2: one n >= 4 head per psi_1 <-> psi_2 swap; 3: a rank is the outermost
-# pool index; 4: one append-only log (3 kept a pointer file and a sidecar)
-_CHECKPOINT_SCHEMA = 4
+# pool index; 4: one append-only log (3 kept a pointer file and a sidecar);
+# 5: every mode's log holds the ordered sets, which the mode selects from
+_CHECKPOINT_SCHEMA = 5
 
 
 class _SearchConfigFields(NamedTuple):
@@ -216,9 +212,9 @@ def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     return flags
 
 
-def _scan_triples(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> None:
+def _scan_triples(codec: _KeyCodec, lo: int, hi: int, found: dict) -> None:
     """The n = 3 scan over strictly increasing heads i < j < k with i in
-    [lo, hi), for every mode.
+    [lo, hi).
 
     ``codec.h`` holds the pool's numerators over L / 2.  Distinct head entries
     force distinct x (pairwise x differences are pairwise psi differences),
@@ -262,8 +258,8 @@ def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
     return {p for p, v in enumerate(h) if is_ratio_pair(s - v, half)}
 
 
-def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> None:
-    """The n >= 4 scan over the heads with i_n in [lo, hi), for every mode.
+def _scan_blocks(codec: _KeyCodec, lo: int, hi: int, found: dict) -> None:
+    """The n >= 4 scan over the heads with i_n in [lo, hi).
 
     The first two tail groups of ``solver.complete_psi`` are
     psi_n + psi_k - t for k = 3..n-1 and t = psi_2, psi_1, so psi_1 and
@@ -279,12 +275,10 @@ def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> 
     so a level skips a k that repeats a middle index (k = i_n stays:
     psi_k = psi_n is legal), and the walk descends only while two
     candidates are left.  Swapping the labels of points 2 and 3 swaps
-    psi_1 and psi_2 and keeps the set, so every mode tries only i1 < i2.
-    Multiset and subset mode also cut each outer index to i_t <= i_(t+1),
-    or i_t < i_(t+1), and i2 to below i3.
+    psi_1 and psi_2 and keeps the set, so the walk tries only i1 < i2.
 
-    A leaf runs i2 over the sorted candidates below the mode cut and i1
-    over the candidates before i2, and tests the third group (n >= 5) per
+    A leaf runs i2 over the sorted candidates and i1 over the candidates
+    before i2, and tests the third group (n >= 5) per
     head, on the middle pairs 3 <= a < b <= n-1.  Every test and the
     closed form run on ``codec.h``, the pool's numerators over
     ``codec.half`` = L / 2, so a survivor's key comes out over L with no
@@ -294,14 +288,12 @@ def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> 
     """
     h, half, n, pack = codec.h, codec.half, codec.n, codec.pack
     M = len(h)
-    step = _ORDER_STEP.get(mode, -M)
     mid_pairs = list(combinations(range(2, n - 1), 2))  # the middle pairs, 0-based
     classes: dict[int, set[int]] = {}  # R(S) by the sum S
 
     def leaf(outer: list[int], members: list[int]) -> None:
         outer_nums = [h[k] for k in outer]
-        below = members[: bisect_left(members, outer[0] + 1 - step)]
-        for pos, i2 in enumerate(below):
+        for pos, i2 in enumerate(members):
             for i1 in members[:pos]:
                 nums = [h[i1], h[i2]] + outer_nums
                 if mid_pairs:  # the third group: psi_n + psi_a + psi_b - psi_1 - psi_2
@@ -322,7 +314,7 @@ def _scan_blocks(codec: _KeyCodec, mode: str, lo: int, hi: int, found: dict) -> 
             return
         s_n = h[outer[-1]]
         middle = outer[:-1]
-        for k in range(min(M, outer[0] + 1 - step)):
+        for k in range(M):
             if k in middle:
                 continue
             s = s_n + h[k]
@@ -343,16 +335,31 @@ def process_range(
 ) -> Partial:
     """Evaluate every candidate with rank in [lo, hi), adding to ``found``.
 
-    Every set of these ranks that ``found`` lacks is added, with its flag
-    bits, in find order; a set it holds is not solved again and keeps its
-    flags.  ``found`` defaults to a fresh map.  Returns ``Partial(found)``.
+    Every ordered set of these ranks that ``found`` lacks is added, with
+    its flag bits, in find order; a set it holds is not solved again and
+    keeps its flags.  ``found`` defaults to a fresh map; the kernels ignore
+    ``mode``.  Returns ``Partial(found)``.
     """
     if found is None:
         found = {}
     if hi > lo:
         kernel = _scan_triples if n == 3 else _scan_blocks
-        kernel(_KeyCodec.of_pool(n, ratios), mode, lo, hi, found)
+        kernel(_KeyCodec.of_pool(n, ratios), lo, hi, found)
     return Partial(found)
+
+
+def _in_mode_order(x: Sequence[int], pool: set[int], strict: bool) -> bool:
+    """Whether an ordered set (x ascending) has a head in ``pool``, the pool
+    values over the denominator of x, whose indices never decrease, or if
+    ``strict`` increase.  Only the ascending labelling can: a head (x_a + x_b,
+    x_a + x_c, ..., x_b + x_c) ascends through its apex sums only if b, c,
+    ... are the other points ascending, and then x_a + max <= x_b + x_c
+    makes the apex a the least.  Each head of an ordered set has a ratio tail.
+    """
+    x0, x1, x2 = x[:3]
+    last, inner = x0 + x[-1], x1 + x2
+    ascends = last < inner or (last == inner and not strict)
+    return ascends and inner in pool and all(x0 + v in pool for v in x[1:])
 
 
 # --- checkpointing ---------------------------------------------------------
@@ -445,13 +452,14 @@ def run_enumeration(
     bits.  A key is an int that ``_KeyCodec.of_pool(config.n, pool.ratios)``
     decodes into the ascending abscissae over its ``den``; the checkpoint
     holds them decoded.  Every ``process_range`` call is handed the run's
-    map and adds its new sets to it.  Without a checkpoint path the run is
-    one call over [0, M); with one, the remaining ranks are cut into
+    map and adds its new ordered sets to it.  Without a checkpoint path the
+    run is one call over [0, M); with one, the remaining ranks are cut into
     min(64, remaining) chunks, and after each the chunk's keys, the last
     ones in the map, are appended to the log with a commit line.
     ``config.workers`` changes nothing.  ``stop_after_ranges`` halts after
     that many chunk boundaries in this call, which together with a
-    checkpoint path models a kill/resume at a rank boundary.
+    checkpoint path models a kill/resume at a rank boundary.  Then, after a
+    stop too, an n >= 4 multiset or subset run deletes the sets out of order.
     """
     if pool.gamma_bound != config.gamma_bound or pool.include_zero != config.include_zero:
         raise ConfigMismatch(
@@ -495,6 +503,12 @@ def run_enumeration(
             completed = False
             break
 
+    if config.n > 3 and config.enumeration_mode != MODE_ORDERED:  # every n = 3 set is in order
+        # deleted in place: the map stays the one each chunk was handed
+        codec = _KeyCodec.of_pool(config.n, pool.ratios)
+        values, strict = {2 * v for v in codec.h}, config.enumeration_mode == MODE_SUBSET
+        for key in [k for k in found if not _in_mode_order(codec.unpack(k), values, strict)]:
+            del found[key]
     if completed and ckpt:
         os.remove(ckpt)
     return found, completed

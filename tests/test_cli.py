@@ -255,33 +255,77 @@ def test_count_n4_keeps_its_digest(capsys, mode, digest):
 
 
 # sha256 of stdout for records built in the library layer: ratio classes,
-# completions and probe records
+# completions and probe records.  A single-record command's envelope names
+# the command, so with a ``kind`` the digest is of the record lines alone
 @pytest.mark.parametrize(
-    "argv, code, digest",
+    "argv, code, kind, digest",
     [
-        (["ratios", "--gamma-max", "65"], 0, "d9a93c93af8fdc146663b8c7b20ec6cfa5d6df8b01098a58ef43e5c3bd8e0865"),
+        (["ratios", "--gamma-max", "65"], 0, None, "d9a93c93af8fdc146663b8c7b20ec6cfa5d6df8b01098a58ef43e5c3bd8e0865"),
         (
             ["ratios", "--gamma-max", "65", "--format", "csv"],
             0,
+            None,
             "9e776188b82da3071805633f622ce1806e99207fe3171c0ea0be15897b6db115",
         ),
         (
             ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0"],
             0,
-            "6f24fd725a5517f292a58feaaeb0cb54c0b8682427fff4b53499ef264a4dde5e",
+            "complete",
+            "76a501fd94c4eca9b12ef53987158067de7a615dbd094ed2979f2191fbcc3cb2",
         ),
         (
             ["density-probe", "--samples", "20", "--gamma-cap", "1000", "--seed", "3"],
             1,
-            "723d2c330cae3dc1fea60a5caf6d0bf52d223e9a9141f26407c66b72bb657096",
+            "density-probe",
+            "4e2a87170a99284287285029ee53d3357f03454114717a423567b9cf80e3022d",
         ),
     ],
     ids=["ratios-jsonl", "ratios-csv", "complete-jsonl", "density-probe-samples"],
 )
-def test_library_records_keep_their_bytes(capsys, argv, code, digest):
+def test_library_records_keep_their_bytes(capsys, argv, code, kind, digest):
     got_code, out, _ = run_cli(capsys, *argv)
     assert got_code == code
+    if kind is not None:
+        envelope, out = out.split("\n", 1)
+        assert json.loads(envelope)["kind"] == kind
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nu", "--p", "1", "--q", "2"],
+        ["complete", "--n", "4", "--psi", "4/3,3/4,5/12,0"],
+        ["verify", "--x", "-4/15,8/5,4/5"],
+        ["solve", "--n", "3", "--psi", "4/3,8/15,12/5"],
+        ["density-probe", "--lo", "1/2", "--hi", "11/20", "--gamma-cap", "25"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_single_record_commands_name_their_record(tmp_path, capsys, argv):
+    # the envelope kind names the record the command writes, not a table's
+    path = tmp_path / "out.jsonl"
+    run_cli(capsys, *argv, "--out", str(path))
+    envelope, records = read_jsonl(str(path))
+    assert envelope["kind"] == argv[0] and len(records) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--n", "1", "--psi", "1/2"], "--n must be >= 2, got 1"),
+        (["solve", "--n", "3", "--psi", "4/3,8/15"], "--psi needs 3 entries for n=3, got 2"),
+        (["complete", "--n", "4", "--psi", "4/3,3/4,5/12"], "--psi needs 4 entries for n=4, got 3"),
+        (["density-probe", "--gamma-cap", "25"], "density-probe needs --lo and --hi (or --samples)"),
+        (["search", "--n", "3", "--gamma-max", "13", "--out", "{dir}"], "cannot write {dir}: "),
+    ],
+    ids=["solve-n1", "solve-short-head", "complete-short-head", "probe-no-interval", "out-is-a-directory"],
+)
+def test_usage_and_io_errors_exit_2(tmp_path, capsys, argv, message):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("rds: " + message.format(dir=tmp_path)) and err.count("\n") == 1
 
 
 def test_search_envelope_keeps_its_bytes(capsys):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import rds.search as rds_search
 from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
-from rds.pythagorean import build_pool, is_pythagorean_ratio, is_ratio_pair
+from rds.pythagorean import build_pool, is_pythagorean_ratio, is_ratio_pair, primitive_triplets
 from rds.search import (
     FLAG_GP,
     FLAG_ZERO_SUM,
@@ -29,6 +29,7 @@ from rds.search import (
     count_solutions,
     partition_space,
     _flags_of_x,
+    _in_mode_order,
     _KeyCodec,
     _load_checkpoint,
     _ratio_class,
@@ -139,11 +140,10 @@ _HEAD_ORDER = {
 }
 
 
-def _in_head_order(mode, head):
-    # for n >= 4 ordered mode tries one head per psi_1 <-> psi_2 swap, i1 < i2
-    if mode == MODE_ORDERED and len(head) > 3:
-        return head[0] < head[1]
-    return all(map(_HEAD_ORDER[mode], head, head[1:]))
+def _walk_tries(idx):
+    # n = 3 heads are strictly increasing; for n >= 4 the walk tries one
+    # head per psi_1 <-> psi_2 swap, i1 < i2
+    return idx[0] < idx[1]
 
 
 def _naive_reference(n, ratios, lo, hi, keep=lambda idx: True):
@@ -231,20 +231,15 @@ def _seed_heads():
 
 
 @cache
-def _seed_kinds(n, mode):
+def _seed_kinds(n):
     """Each family's seed heads grouped by how each entry compares with the
-    next (<, = or >); for multiset and subset only the groups with at most
-    one = or >, whose heads the mode keeps or must cut away at one position."""
+    next (<, = or >)."""
     kinds = []
     for family in _seed_heads()[n]:
         groups = defaultdict(list)
         for h in family:
             groups[tuple((a > b) - (a < b) for a, b in zip(h, h[1:]))].append(h)
-        kinds += [
-            g
-            for signs, g in sorted(groups.items())
-            if mode == MODE_ORDERED or sum(v >= 0 for v in signs) <= 1
-        ]
+        kinds += [g for _, g in sorted(groups.items())]
     return kinds
 
 
@@ -256,21 +251,19 @@ def _windows(draw):
     lie at the seed head's rank, its outermost pool index, and next to it:
     a rank holds M^(n-1) heads for n >= 4, so a few ranks keep the
     reference cheap, and the first cut and the last straddle the seed.
-    n, a mode, the seed's kind for that mode, the seed and whether extras
-    avoid the seed's range come from one uniform generator, so that heads
-    a mode must cut away at each position, or keep despite a tie, are
-    drawn as often as others; Hypothesis's own choices cluster and left
-    most kinds undrawn.
+    n, the seed's kind, the seed and whether extras avoid the seed's range
+    come from one uniform generator, so that every kind of head is drawn
+    as often as the others; Hypothesis's own choices cluster and left most
+    kinds undrawn.
     """
     rnd = draw(st.randoms(use_true_random=True))
     n = rnd.choice([3, 4, 5])
-    mode = rnd.choice(MODES)
-    seed = rnd.choice(rnd.choice(_seed_kinds(n, mode)))
+    seed = rnd.choice(rnd.choice(_seed_kinds(n)))
     k = len(set(seed))
     others = [r for r in _POOL_65 if r not in seed]
     if rnd.random() < 0.5:
         # extras outside the seed's range keep its entries adjacent in the
-        # sub-pool, where an off-by-one head-order cut shows
+        # sub-pool, where an off-by-one cut shows
         others = [r for r in others if not min(seed) < r < max(seed)] or others
     extra = draw(st.sets(st.sampled_from(others), min_size=max(0, 4 - k), max_size=9 - k))
     ratios = tuple(sorted(set(seed) | extra))
@@ -285,21 +278,18 @@ def _windows(draw):
 @settings(max_examples=300, deadline=None)
 @given(window=_windows())
 def test_kernels_match_naive_reference(window):
-    # per mode and window between consecutive cuts: the integer kernels'
-    # keys, flags and insertion order equal the first finds of the naive
-    # reference among the heads in the mode's order
+    # per window between consecutive cuts: the integer kernels' keys, flags
+    # and insertion order equal the first finds of the naive reference
+    # among the heads the walk tries
     n, ratios, cuts = window
-    # only heads some mode keeps: each mode's want below filters by its order
-    tried = lambda idx: any(_in_head_order(mode, idx) for mode in MODES)
-    survivors = list(_naive_reference(n, ratios, cuts[0], cuts[-1], tried))
-    for mode in MODES:
-        for lo, hi in zip(cuts, cuts[1:]):
-            want = {}
-            for rank, idx, key, flags in survivors:
-                if lo <= rank < hi and _in_head_order(mode, idx) and key not in want:
-                    want[key] = flags
-            got = process_range(n, ratios, mode, lo, hi).found
-            assert list(got.items()) == list(want.items()), mode
+    survivors = list(_naive_reference(n, ratios, cuts[0], cuts[-1], _walk_tries))
+    for lo, hi in zip(cuts, cuts[1:]):
+        want = {}
+        for rank, idx, key, flags in survivors:
+            if lo <= rank < hi and key not in want:
+                want[key] = flags
+        got = process_range(n, ratios, MODE_ORDERED, lo, hi).found
+        assert list(got.items()) == list(want.items())
 
 
 def _per_triple_items(ratios):
@@ -646,7 +636,10 @@ def test_count_tallies_the_flags(n, gamma, include_zero):
 )
 def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, workers, checkpoint, mode):
     # every run is one worker, and every chunk is handed the keys the run
-    # holds: a set found in an earlier chunk is not solved again
+    # holds: a set found in an earlier chunk is not solved again.  Every
+    # mode walks the ordered sets, so it solves each of them once
+    pool = build_pool(gamma)
+    walked = process_range(4, pool.ratios, MODE_ORDERED, 0, len(pool.ratios)).found
     calls = []
 
     def counting_solve_x(head, *args):
@@ -656,8 +649,8 @@ def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, worker
     monkeypatch.setattr(rds_search, "solve_x", counting_solve_x)
     ckpt = str(tmp_path / "run.ckpt") if checkpoint else None
     cfg = SearchConfig(n=4, gamma_bound=gamma, enumeration_mode=mode, workers=workers, checkpoint_path=ckpt)
-    found, _ = run_enumeration(cfg, build_pool(gamma))
-    assert len(calls) == len(found) > 0
+    found, _ = run_enumeration(cfg, pool)
+    assert len(calls) == len(walked) >= len(found) > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -701,26 +694,23 @@ def _whole_space_reference(n, ratios):
 def test_one_rank_holds_its_outer_index_heads(n, make_pool):
     # process_range(i, i + 1) gives exactly the first finds, with their
     # flags and in their order, of the naive reference's heads whose
-    # outermost pool index is i and which are in the mode's order
+    # outermost pool index is i and which the walk tries
     ratios = make_pool().ratios
     survivors = _naive_survivors(n, ratios)
     assert survivors  # the case holds sets
-    for mode in MODES:
-        for i in range(len(ratios)):
-            want = {}
-            for rank, idx, key, flags in survivors:
-                if rank == i and _in_head_order(mode, idx) and key not in want:
-                    want[key] = flags
-            got = process_range(n, ratios, mode, i, i + 1).found
-            assert list(got.items()) == list(want.items()), (mode, i)
+    for i in range(len(ratios)):
+        want = {}
+        for rank, idx, key, flags in survivors:
+            if rank == i and _walk_tries(idx) and key not in want:
+                want[key] = flags
+        got = process_range(n, ratios, MODE_ORDERED, i, i + 1).found
+        assert list(got.items()) == list(want.items()), i
 
 
-# n = 5 multiset and subset mode prune every head at Gamma = 41 before the leaf
-@pytest.mark.parametrize("n, mode", [(4, MODE_ORDERED), (4, MODE_MULTISET), (4, MODE_SUBSET), (5, MODE_ORDERED)])
+@pytest.mark.parametrize("n, mode", [(4, MODE_ORDERED), (5, MODE_ORDERED)])
 def test_the_walk_tries_only_heads_in_the_mode_order(monkeypatch, n, mode):
-    # every head the leaf solves has i1 < i2 and, in multiset and subset
-    # mode, indices in the mode's order: heads outside it are never tried,
-    # not only never kept
+    # every head the leaf solves has i1 < i2: the other head of a
+    # psi_1 <-> psi_2 swap is never tried, not only never kept
     ratios = _pool_ratios(41)
     h, _ = _over_lcm(ratios)
     index = {v: i for i, v in enumerate(h)}
@@ -733,7 +723,7 @@ def test_the_walk_tries_only_heads_in_the_mode_order(monkeypatch, n, mode):
     monkeypatch.setattr(rds_search, "solve_x_scaled", recording_solve_x_scaled)
     process_range(n, ratios, mode, 0, len(ratios))
     assert tried
-    assert all(idx[0] < idx[1] and _in_head_order(mode, idx) for idx in tried)
+    assert all(idx[0] < idx[1] for idx in tried)
 
 
 @settings(max_examples=40, deadline=None)
@@ -741,18 +731,79 @@ def test_the_walk_tries_only_heads_in_the_mode_order(monkeypatch, n, mode):
 def test_whole_space_matches_the_uncut_naive_product(case, data):
     # chunks at any cuts find together the keys and flags of every head of
     # the naive product, i1 > i2 included: one head per psi_1 <-> psi_2
-    # swap loses no set
+    # swap loses no set.  The mode filter of those sets gives the naive
+    # product's sets in each mode's order
     n, make_pool = case
     ratios = make_pool().ratios
     total = total_ranks(MODE_ORDERED, len(ratios), n)
     cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=12)))
     want = _whole_space_reference(n, ratios)
     assert want[MODE_ORDERED]  # the case holds sets
-    for mode in MODES:
-        got = {}
-        for lo, hi in zip([0] + cuts, cuts + [total]):
-            got.update(process_range(n, ratios, mode, lo, hi).found)
-        assert got == want[mode], mode
+    got = {}
+    for lo, hi in zip([0] + cuts, cuts + [total]):
+        got.update(process_range(n, ratios, MODE_ORDERED, lo, hi).found)
+    assert got == want[MODE_ORDERED]
+    codec = _KeyCodec.of_pool(n, ratios)
+    values = {2 * v for v in codec.h}
+    for mode, strict in ((MODE_MULTISET, False), (MODE_SUBSET, True)):
+        kept = {k: f for k, f in got.items() if _in_mode_order(codec.unpack(k), values, strict)}
+        assert kept == want[mode], mode
+
+
+@pytest.mark.parametrize(
+    "n, make_pool",
+    [(3, lambda: build_pool(25)), (4, lambda: build_pool(65)), (5, _n5_pool)],
+    ids=["n3-g25", "n4-g65", "n5-sub145"],
+)
+def test_mode_order_needs_only_the_ascending_labelling(n, make_pool):
+    # for every ordered set, the one-labelling test equals a brute force
+    # over all n! labellings: some head (x_a + x_b, ..., x_a + x_m, x_b + x_c)
+    # lies in the pool with indices that never decrease (multiset) or
+    # strictly increase (subset)
+    ratios = make_pool().ratios
+    index = {r: i for i, r in enumerate(ratios)}
+    codec = _KeyCodec.of_pool(n, ratios)
+    values = {2 * v for v in codec.h}
+    found = process_range(n, ratios, MODE_ORDERED, 0, len(ratios)).found
+    assert found  # the case holds sets
+    for mode, strict in ((MODE_MULTISET, False), (MODE_SUBSET, True)):
+        kept = 0
+        for key in found:
+            x = codec.unpack(key)
+            heads = (
+                [index.get(Fraction(v, codec.den)) for v in [p[0] + q for q in p[1:]] + [p[1] + p[2]]]
+                for p in permutations(x)
+            )
+            brute = any(None not in idx and all(map(_HEAD_ORDER[mode], idx, idx[1:])) for idx in heads)
+            assert _in_mode_order(x, values, strict) == brute, (mode, x)
+            kept += brute
+        # n = 3: every set passes; n = 4 has sets on both sides
+        assert kept == len(found) if n == 3 else n > 4 or 0 < kept < len(found), mode
+
+
+@pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
+@pytest.mark.parametrize("gamma", [25, 41, 65, 97, 145])
+def test_n4_zero_sum_counts_have_closed_forms(gamma, include_zero):
+    # four points on y = x^2 are concyclic iff they sum to zero, so
+    # theta_all - theta_gp counts the zero-sum sets; with P positive pool
+    # values each mode's count is a polynomial in P
+    pool = build_pool(gamma, include_zero=include_zero)
+    P = sum(r > 0 for r in pool.ratios)
+    assert P == 2 * len(primitive_triplets(gamma))
+    z = comb(P, 2) if include_zero else 0
+    want = {
+        MODE_ORDERED: 2 * comb(P, 3) + z,
+        MODE_MULTISET: comb(P, 3) + z,
+        MODE_SUBSET: comb(P, 3),
+    }
+    # the ordered map once, filtered as run_enumeration filters it
+    found = process_range(4, pool.ratios, MODE_ORDERED, 0, len(pool.ratios)).found
+    codec = _KeyCodec.of_pool(4, pool.ratios)
+    values = {2 * v for v in codec.h}
+    for mode, strict in ((MODE_ORDERED, None), (MODE_MULTISET, False), (MODE_SUBSET, True)):
+        keys = [k for k in found if strict is None or _in_mode_order(codec.unpack(k), values, strict)]
+        assert sum(1 for k in keys if not found[k] & FLAG_GP) == want[mode], mode
+        assert all(sum(codec.unpack(k)) == 0 for k in keys if not found[k] & FLAG_GP)
 
 
 def _log_lines(ckpt):
@@ -796,7 +847,7 @@ def test_sidecar_bytes_do_not_depend_on_the_key_type(tmp_path, n, gamma, stop_af
     cfg = SearchConfig(n=n, gamma_bound=gamma, workers=workers, checkpoint_path=str(ckpt))
     assert not run_enumeration(cfg, build_pool(gamma), stop_after_ranges=stop_after)[1]
     assert hashlib.sha256(_key_lines(ckpt).encode()).hexdigest() == sha256
-    assert json.loads(ckpt.read_text().splitlines()[0])["schema_version"] == 4
+    assert json.loads(ckpt.read_text().splitlines()[0])["schema_version"] == 5
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1033,6 +1084,8 @@ _BAD_COUNT = "does not count"
         # its next_rank is not a count of outer indices
         (_header(lambda h: json.dumps({**h, "schema_version": 2})), "^unsupported checkpoint schema 2$"),
         (_as_schema_3_pointer, "^unsupported checkpoint schema 3$"),
+        # schema 4's multiset and subset logs held only the mode's sets
+        (_header(lambda h: json.dumps({**h, "schema_version": 4})), "^unsupported checkpoint schema 4$"),
         (_commit(lambda c: {**c, "next_rank": "3"}), _BAD_RANK),
         (_commit(lambda c: {**c, "next_rank": True}), _BAD_RANK),
         (_commit(lambda c: {**c, "next_rank": -1}), _BAD_RANK),
@@ -1054,6 +1107,7 @@ _BAD_COUNT = "does not count"
         "schema-1-kernel",
         "schema-2-kernel",
         "schema-3-pointer",
+        "schema-4-mode-sets",
         "rank-string",
         "rank-bool",
         "rank-negative",
