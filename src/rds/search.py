@@ -212,6 +212,24 @@ def _flags_of_x(x: Sequence[Fraction] | Sequence[int]) -> int:
     return flags
 
 
+def _zero_sum_heads(h: Sequence[int], lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The heads i < j < k with i in [lo, hi) and h_i + h_j + h_k = 0, in
+    head order, for pairwise-distinct ``h``.
+
+    For each i, one set intersection takes the values v = -h_i - w, for
+    each w after h_i, that are in ``h``: O(M) lookups per i, O(M^2) in all.
+    Each pair {v, w} is met from both ends, and only j = index(v) < k =
+    index(w), with j > i, is kept; distinct values give j != k.
+    """
+    index = {v: t for t, v in enumerate(h)}
+    heads = []
+    for i in range(lo, hi):
+        t = -h[i]
+        pairs = ((index[v], index[t - v]) for v in index.keys() & map(t.__sub__, h[i + 1 :]))
+        heads += sorted((i, j, k) for j, k in pairs if i < j < k)
+    return heads
+
+
 def _scan_triples(codec: _KeyCodec, lo: int, hi: int, found: dict) -> None:
     """The n = 3 scan over strictly increasing heads i < j < k with i in
     [lo, hi).
@@ -224,15 +242,14 @@ def _scan_triples(codec: _KeyCodec, lo: int, hi: int, found: dict) -> None:
     key(p, q, r) = p * K_p + q * K_q + r * K_r + offset.  The scan runs row
     (i, j) by row: with base = h_i * K_p + offset + h_j * K_q from weighted
     copies of ``h``, a row's keys are base plus each entry of its slice of
-    h * K_r, stored with FLAG_GP.  The x sum to (p + q + r) / 2, and pool
-    values are distinct, so a row holds at most one zero-sum head,
-    r = -(p + q); only its x go through ``_flags_of_x``, and its key is
-    re-stored in place, so the insertion order stays head order.  A key
-    the map holds already keeps its place and its flags, which are equal.
+    h * K_r, stored with FLAG_GP.  The x sum to (p + q + r) / 2, so only the
+    zero-sum heads (``_zero_sum_heads``) can have other flags; their x go
+    through ``_flags_of_x`` after the rows, and their keys are re-stored in
+    place, so the insertion order stays head order.  A key the map held
+    already keeps its place and its flags, which are equal.
     """
     h = codec.h
     M = len(h)
-    index = {v: t for t, v in enumerate(h)}
     # K_p, K_q, K_r: the keys of the unit heads, less the offset
     kp, kq, kr = (codec.pack(solve_x_scaled(e)) - codec.offset for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     hp = [v * kp + codec.offset for v in h]
@@ -243,10 +260,8 @@ def _scan_triples(codec: _KeyCodec, lo: int, hi: int, found: dict) -> None:
         for j in range(i + 1, M - 1):
             base = hp[i] + hq[j]
             found.update(zip(map(base.__add__, hr[j + 1 :]), flags_gp))
-            r = -h[i] - h[j]
-            k = index.get(r, -1)
-            if k > j:
-                found[base + hr[k]] = _flags_of_x(solve_x_scaled((h[i], h[j], r)))
+    for i, j, k in _zero_sum_heads(h, lo, hi):
+        found[hp[i] + hq[j] + hr[k]] = _flags_of_x(solve_x_scaled((h[i], h[j], h[k])))
 
 
 def _ratio_class(h: list[int], half: int, s: int) -> set[int]:
@@ -535,29 +550,35 @@ def search(config: SearchConfig, pool: RatioPool) -> Iterator[Solution]:
 
 
 def count_solutions(config: SearchConfig, pool: RatioPool) -> CountReport:
-    """Count distinct solutions without materializing them."""
+    """Count distinct solutions without materializing them.
+
+    At n = 3 only the zero-sum sets can lack FLAG_GP or carry
+    FLAG_ZERO_SUM, and there are O(M) of them: their keys come from
+    ``_zero_sum_heads`` and their flags from the run's map, so no pass
+    reads the map's C(M, 3) flags.
+    """
     t0 = time.perf_counter()
     found, _ = run_enumeration(config, pool)
-    elapsed = time.perf_counter() - t0
-    flags = found.values()
     theta_all = len(found)
     exclusions: dict[str, int] = {}
     extra_sets: list[tuple[Rat, ...]] = []
     if config.n == 3:
-        # n = 3 flags: FLAG_GP, FLAG_ZERO_SUM alone (a mirror set), or both
-        extra = FLAG_GP | FLAG_ZERO_SUM
+        # zero-sum flags: FLAG_ZERO_SUM alone (a mirror set) or with FLAG_GP
+        codec = _KeyCodec.of_pool(3, pool.ratios)
+        h, extra = codec.h, FLAG_GP | FLAG_ZERO_SUM
+        keys = [codec.pack(solve_x_scaled((h[i], h[j], h[k]))) for i, j, k in _zero_sum_heads(h, 0, len(h))]
+        flags = list(map(found.get, keys))
         mirror, extras = countOf(flags, FLAG_ZERO_SUM), countOf(flags, extra)
         theta_gp = theta_all - mirror
         exclusions = {"mirror_zero": mirror, "zero_sum_extra": extras}
-        if extras:
-            codec = _KeyCodec.of_pool(3, pool.ratios)
-            extra_sets = [
-                tuple(Fraction(v, codec.den) for v in codec.unpack(k))
-                for k in sorted(compress(found, map(extra.__eq__, flags)))
-            ]
+        extra_sets = [
+            tuple(Fraction(v, codec.den) for v in codec.unpack(k))
+            for k in sorted(k for k, f in zip(keys, flags) if f == extra)
+        ]
     else:
         # n >= 4 flags: FLAG_GP or none
-        theta_gp = countOf(flags, FLAG_GP)
+        theta_gp = countOf(found.values(), FLAG_GP)
+    elapsed = time.perf_counter() - t0
     return CountReport(
         n=config.n,
         gamma_bound=config.gamma_bound,

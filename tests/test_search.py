@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import rds.search as rds_search
 from rds.errors import CheckpointCorrupt, ConfigMismatch, DomainError
 from rds.pythagorean import build_pool, is_pythagorean_ratio, is_ratio_pair, primitive_triplets
+from rds.reference import COUNT_TABLE_N3, GP_EXTRA_EXCLUSIONS, GP_EXTRA_EXCLUSIONS_FROM
 from rds.search import (
     FLAG_GP,
     FLAG_ZERO_SUM,
@@ -34,6 +35,7 @@ from rds.search import (
     _load_checkpoint,
     _ratio_class,
     _read_key_line,
+    _zero_sum_heads,
     pool_growth_report,
     process_range,
     run_enumeration,
@@ -347,6 +349,50 @@ def test_row_kernel_flags_zero_sum_sets_without_zero():
             assert list(process_range(3, ratios, MODE_ORDERED, lo, hi).found.items()) == _in_window(items, lo, hi)
 
 
+@pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
+@pytest.mark.parametrize("gamma", [5, 13, 25, 109])
+def test_zero_sum_heads_match_a_brute_force_filter(gamma, include_zero):
+    # every window [lo, hi): the finder's heads, in head order, are the
+    # zero-sum heads of the full triple product whose first index is in it
+    h = _KeyCodec.of_pool(3, build_pool(gamma, include_zero=include_zero).ratios).h
+    M = len(h)
+    every = [idx for idx in combinations(range(M), 3) if sum(h[t] for t in idx) == 0]
+    # the mirror sets {-a, 0, a} with zero, and from Gamma = 109 four more
+    mirror = (M - 1) // 2 if include_zero else 0
+    assert len(every) == mirror + (GP_EXTRA_EXCLUSIONS if gamma >= GP_EXTRA_EXCLUSIONS_FROM else 0)
+    for lo in range(M + 1):
+        for hi in range(lo, M + 1):
+            assert _zero_sum_heads(h, lo, hi) == [idx for idx in every if lo <= idx[0] < hi], (lo, hi)
+
+
+@pytest.mark.parametrize("include_zero", [True, False], ids=["zero", "no-zero"])
+def test_n3_breakdown_over_the_count_bounds(include_zero):
+    # theta_all = C(M, 3); the mirror sets {-a, 0, a} need the zero ratio;
+    # the four extra zero-sum sets appear from Gamma = 109 on
+    for gamma, _, _ in COUNT_TABLE_N3:
+        pool = build_pool(gamma, include_zero=include_zero)
+        M = len(pool.ratios)
+        report = count_solutions(SearchConfig(n=3, gamma_bound=gamma, include_zero=include_zero), pool)
+        mirror = (M - 1) // 2 if include_zero else 0
+        extra = GP_EXTRA_EXCLUSIONS if gamma >= GP_EXTRA_EXCLUSIONS_FROM else 0
+        assert report.theta_all == comb(M, 3), gamma
+        assert report.exclusions == {"mirror_zero": mirror, "zero_sum_extra": extra}, gamma
+        assert report.theta_gp == comb(M, 3) - mirror, gamma
+        assert len(report.extra_zero_sum_sets) == extra
+        assert report.extra_zero_sum_sets == sorted(report.extra_zero_sum_sets)
+        assert all(sum(x) == 0 and 0 not in x for x in report.extra_zero_sum_sets)
+
+
+def test_a_count_of_an_empty_map_is_zero(monkeypatch):
+    # the zero-sum sets' flags are read from the run's map: a map without
+    # them counts none of them
+    monkeypatch.setattr(rds_search, "run_enumeration", lambda config, pool: ({}, True))
+    report = count_solutions(SearchConfig(n=3, gamma_bound=109), build_pool(109))
+    assert (report.theta_all, report.theta_gp) == (0, 0)
+    assert report.exclusions == {"mirror_zero": 0, "zero_sum_extra": 0}
+    assert report.extra_zero_sum_sets == []
+
+
 def test_ratio_class_holds_both_indices_of_its_sum():
     # R(psi_n + psi_k) holds k and i_n: the walk drops them from the
     # candidates itself, since a head that repeats them is never distinct
@@ -653,22 +699,22 @@ def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, worker
     assert len(calls) == len(walked) >= len(found) > 0
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
-def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
+def test_known_keys_are_left_out_of_a_range(n, make_pool):
     # each range run on the run's map returns that map, with exactly the
     # range's own keys that the map lacked appended in find order; every
-    # key the map held keeps its place and its flags
+    # key the map held keeps its place and its flags.  The kernels ignore
+    # the mode, so the ordered mode stands for all three
     ratios = make_pool().ratios
     found, overlaps = {}, 0
-    for lo, hi in partition_space(total_ranks(mode, len(ratios), n), 16):
-        alone = process_range(n, ratios, mode, lo, hi).found
+    for lo, hi in partition_space(total_ranks(MODE_ORDERED, len(ratios), n), 16):
+        alone = process_range(n, ratios, MODE_ORDERED, lo, hi).found
         held = dict(found)
-        assert process_range(n, ratios, mode, lo, hi, found).found is found
+        assert process_range(n, ratios, MODE_ORDERED, lo, hi, found).found is found
         assert list(found.items()) == list(held.items()) + [(k, f) for k, f in alone.items() if k not in held]
         overlaps += sum(k in held for k in alone)
-    # in ordered mode some range re-finds a set the map holds
-    assert overlaps or mode != MODE_ORDERED
+    # some range re-finds a set the map holds
+    assert overlaps
 
 
 @cache
