@@ -699,21 +699,24 @@ def test_one_worker_solves_each_n4_set_once(tmp_path, monkeypatch, gamma, worker
     assert len(calls) == len(walked) >= len(found) > 0
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, make_pool", _DEDUP_CASES, ids=["n4-g25", "n5-sub145"])
-def test_known_keys_are_left_out_of_a_range(n, make_pool):
+def test_known_keys_are_left_out_of_a_range(n, make_pool, mode):
     # each range run on the run's map returns that map, with exactly the
     # range's own keys that the map lacked appended in find order; every
     # key the map held keeps its place and its flags.  The kernels ignore
-    # the mode, so the ordered mode stands for all three
+    # the mode: a multiset or subset range finds the ordered range's items
     ratios = make_pool().ratios
     found, overlaps = {}, 0
-    for lo, hi in partition_space(total_ranks(MODE_ORDERED, len(ratios), n), 16):
-        alone = process_range(n, ratios, MODE_ORDERED, lo, hi).found
+    for lo, hi in partition_space(total_ranks(mode, len(ratios), n), 16):
+        alone = process_range(n, ratios, mode, lo, hi).found
+        if mode != MODE_ORDERED:
+            assert list(alone.items()) == list(process_range(n, ratios, MODE_ORDERED, lo, hi).found.items())
         held = dict(found)
-        assert process_range(n, ratios, MODE_ORDERED, lo, hi, found).found is found
+        assert process_range(n, ratios, mode, lo, hi, found).found is found
         assert list(found.items()) == list(held.items()) + [(k, f) for k, f in alone.items() if k not in held]
         overlaps += sum(k in held for k in alone)
-    # some range re-finds a set the map holds
+    # in every mode some range re-finds a set the map holds
     assert overlaps
 
 
